@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.schema import DataError
+
 logger = logging.getLogger(__name__)
 
 EQUI_WIDTH = "equi-width"
@@ -78,11 +80,7 @@ class BinLayout:
         counts.
         """
         values = np.asarray(values, dtype=np.float64)
-        if np.isnan(values).any():
-            raise ValueError(
-                f"column {self.attribute!r} contains NaN; clean the "
-                "data before binning"
-            )
+        _reject_nan(self.attribute, values)
         indices = np.searchsorted(self.edges, values, side="right") - 1
         return np.clip(indices, 0, self.n_bins - 1)
 
@@ -103,6 +101,14 @@ class BinLayout:
             raise ValueError(f"empty bin span {first}..{last}")
         _, high = self.bin_interval(last)
         return low, high
+
+
+def _reject_nan(attribute: str, values: np.ndarray) -> None:
+    if np.isnan(values).any():
+        raise DataError(
+            f"column {attribute!r} contains NaN; clean the data before "
+            "binning"
+        )
 
 
 def equi_width_layout(attribute: str, low: float, high: float,
@@ -265,10 +271,12 @@ def make_layout(strategy: str, attribute: str, values: np.ndarray,
     """Dispatch to a strategy by name (``equi-width`` is the paper default).
 
     ``low``/``high`` bound the equi-width layout; the data-driven
-    strategies derive their edges from ``values``.
+    strategies derive their edges from ``values``, which must hold no
+    NaN (:class:`~repro.data.schema.DataError`).
     """
+    values = np.asarray(values, dtype=np.float64)
+    _reject_nan(attribute, values)
     if strategy == EQUI_WIDTH:
-        values = np.asarray(values, dtype=np.float64)
         if low is None:
             low = float(values.min())
         if high is None:

@@ -27,7 +27,10 @@ Subcommands mirror the library workflow:
   ASCII delta grid.
 
 Every command is driven by :func:`main`, which takes an argv list so
-tests can invoke it without a subprocess.
+tests can invoke it without a subprocess.  Usage errors exit with
+status 2: argparse's own, and input data the pipeline cannot use (a
+:class:`~repro.data.schema.DataError`, such as NaN in a quantitative
+column), reported as one ``arcs <command>: <message>`` line on stderr.
 
 Observability flags (``fit``, ``fit-all``, ``remine``, ``describe``,
 ``inspect``) expose the :mod:`repro.obs` layer without code changes:
@@ -64,7 +67,12 @@ from repro.core.clusterer import GridClusterer
 from repro.core.optimizer import OptimizerConfig, segmentation_from_outcome
 from repro.core.verifier import Verifier
 from repro.data.io import read_csv, write_csv
-from repro.data.schema import AttributeSpec, categorical, quantitative
+from repro.data.schema import (
+    AttributeSpec,
+    DataError,
+    categorical,
+    quantitative,
+)
 from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
 from repro.data.summary import format_occupancy, profile_bin_array
 from repro.obs.report import RunCapture, RunReport
@@ -219,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "for hot reload (negative disables)")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="scoring worker processes sharing the "
-                            "listening socket and shared-memory scorer "
-                            "tables (0 = single threaded process)")
+                            "listening socket (0 = single threaded "
+                            "process)")
     serve.add_argument("--batch-window", type=float, default=None,
                        metavar="MS",
                        help="coalesce concurrent scoring calls for up "
@@ -1133,6 +1141,9 @@ def main(argv: list[str] | None = None) -> int:
         profiler = SamplingProfiler().start()
     try:
         return _COMMANDS[args.command](args)
+    except DataError as error:
+        print(f"arcs {args.command}: {error}", file=sys.stderr)
+        return 2
     finally:
         if profiler is not None:
             profiler.stop()

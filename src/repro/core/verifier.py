@@ -21,16 +21,12 @@ one ``(repeats, k)`` array operation (:func:`count_repeat_errors`).
 
 Each repeat draws its indices from its own deterministic generator
 (:func:`repro.data.sampling.repeat_rng`), so the estimate for a fixed
-seed does not depend on *where* the repeat runs.  That is what makes the
-opt-in ``workers=N`` mode — repeats fanned out over a process pool —
-bit-identical to the serial path.
+seed does not depend on how the repeats are batched.
 """
 
 from __future__ import annotations
 
 import logging
-
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,10 +51,9 @@ def count_repeat_errors(covered: np.ndarray, is_target: np.ndarray,
     the batch's samples are gathered into one ``(repeats, k)`` matrix and
     the per-repeat counts fall out of two vectorised comparisons.
 
-    This function is the unit of work the parallel verifier ships to a
-    worker process; because seeding is per repeat, any partition of
-    ``repeat_ids`` over any number of processes produces the same counts.
-    Returns ``(fp_counts, fn_counts)`` aligned with ``repeat_ids``.
+    Because seeding is per repeat, any partition of ``repeat_ids``
+    produces the same counts.  Returns ``(fp_counts, fn_counts)``
+    aligned with ``repeat_ids``.
     """
     n = len(covered)
     indices = np.stack([
@@ -70,28 +65,6 @@ def count_repeat_errors(covered: np.ndarray, is_target: np.ndarray,
     fp_counts = np.count_nonzero(sample_covered & ~sample_target, axis=1)
     fn_counts = np.count_nonzero(~sample_covered & sample_target, axis=1)
     return fp_counts.astype(np.int64), fn_counts.astype(np.int64)
-
-
-def _count_block_with_metrics(covered: np.ndarray, is_target: np.ndarray,
-                              sample_size: int, seed: int,
-                              repeat_ids: Sequence[int],
-                              ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Worker-side wrapper: counts plus a metrics snapshot.
-
-    A pool worker cannot see the parent's metrics registry, so it
-    records its share of the verifier counters on a local registry and
-    ships the snapshot home with the results; the parent merges it into
-    its own registry (:meth:`MetricsRegistry.merge_snapshot`), keeping
-    serial and parallel runs metric-identical.
-    """
-    registry = metrics.MetricsRegistry()
-    registry.inc("verifier.samples_drawn", len(repeat_ids))
-    registry.inc("verifier.tuples_sampled",
-                 len(repeat_ids) * sample_size)
-    fp_counts, fn_counts = count_repeat_errors(
-        covered, is_target, sample_size, seed, repeat_ids
-    )
-    return fp_counts, fn_counts, registry.snapshot()
 
 
 def target_mask(labels: np.ndarray, target_value) -> np.ndarray:
@@ -148,14 +121,7 @@ class Verifier:
     seed:
         RNG seed; a fixed verifier gives identical estimates for identical
         segmentations, which keeps the optimizer's search deterministic.
-        Repeat ``r`` always draws from ``repeat_rng(seed, r)``, so the
-        estimate is independent of the ``workers`` setting.
-    workers:
-        Number of processes the repeats are fanned out over.  The default
-        of 1 stays in-process (and is fastest below roughly a million
-        tuples — coverage vectors must be shipped to workers); larger
-        values split the repeats into contiguous blocks over a process
-        pool and give a bit-identical report.
+        Repeat ``r`` always draws from ``repeat_rng(seed, r)``.
     """
 
     table: Table
@@ -164,15 +130,12 @@ class Verifier:
     sample_size: int = 1000
     repeats: int = 5
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.sample_size <= 0:
             raise ValueError("sample_size must be positive")
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
         self.sample_size = min(self.sample_size, len(self.table))
 
     # ------------------------------------------------------------------
@@ -193,22 +156,15 @@ class Verifier:
     def verify(self, segmentation: Segmentation) -> VerificationReport:
         """Estimate the segmentation's error by repeated sampling."""
         with trace("verify", sample_size=self.sample_size,
-                   repeats=self.repeats, workers=self.workers) as span:
+                   repeats=self.repeats) as span:
             covered, is_target = self._coverage(segmentation)
-            if self.workers == 1 or self.repeats == 1:
-                fp_counts, fn_counts = count_repeat_errors(
-                    covered, is_target, self.sample_size, self.seed,
-                    range(self.repeats),
-                )
-                metrics.inc("verifier.samples_drawn", self.repeats)
-                metrics.inc("verifier.tuples_sampled",
-                            self.repeats * self.sample_size)
-            else:
-                # The workers record their share of the sampling
-                # counters; totals match the serial branch exactly.
-                fp_counts, fn_counts = self._count_parallel(
-                    covered, is_target
-                )
+            fp_counts, fn_counts = count_repeat_errors(
+                covered, is_target, self.sample_size, self.seed,
+                range(self.repeats),
+            )
+            metrics.inc("verifier.samples_drawn", self.repeats)
+            metrics.inc("verifier.tuples_sampled",
+                        self.repeats * self.sample_size)
             rates = (fp_counts + fn_counts) / float(self.sample_size)
             mean_rate, stderr = mean_and_stderr(rates)
             span.set("error_rate", mean_rate)
@@ -225,46 +181,6 @@ class Verifier:
             error_rate=mean_rate,
             error_rate_stderr=stderr,
         )
-
-    def _count_parallel(self, covered: np.ndarray, is_target: np.ndarray,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Fan the repeats out over a process pool.
-
-        Repeats are split into contiguous blocks (one per worker); the
-        per-repeat seeding makes the concatenated result identical to the
-        serial path no matter how the blocks land on processes.  A worker
-        failure (crash, OOM-kill, unpicklable state) surfaces as a
-        :class:`RuntimeError` naming the repeat block instead of hanging.
-        """
-        workers = min(self.workers, self.repeats)
-        blocks = np.array_split(np.arange(self.repeats), workers)
-        fp_parts: list[np.ndarray] = []
-        fn_parts: list[np.ndarray] = []
-        registry = metrics.active()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _count_block_with_metrics, covered, is_target,
-                    self.sample_size, self.seed, block.tolist(),
-                )
-                for block in blocks
-            ]
-            for block, future in zip(blocks, futures):
-                try:
-                    fp_block, fn_block, snapshot = future.result()
-                except Exception as error:
-                    raise RuntimeError(
-                        f"parallel verification failed on repeats "
-                        f"{block[0]}..{block[-1]} "
-                        f"({type(error).__name__}: {error}); rerun with "
-                        f"workers=1 to isolate"
-                    ) from error
-                fp_parts.append(fp_block)
-                fn_parts.append(fn_block)
-                if registry is not None:
-                    registry.merge_snapshot(snapshot)
-        metrics.inc("verifier.parallel_batches", len(blocks))
-        return np.concatenate(fp_parts), np.concatenate(fn_parts)
 
     def exact_error_rate(self, segmentation: Segmentation) -> float:
         """Full-table FP+FN rate (no sampling) — the ground truth the

@@ -15,7 +15,7 @@ import logging
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.data.schema import AttributeSpec, Table
+from repro.data.schema import AttributeSpec, DataError, Table
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ def write_csv(table: Table, path: str | Path) -> None:
 def _parse_row(specs: Sequence[AttributeSpec], row: Sequence[str],
                line_number: int) -> list:
     if len(row) != len(specs):
-        raise ValueError(
+        raise DataError(
             f"line {line_number}: expected {len(specs)} fields, "
             f"got {len(row)}"
         )
@@ -44,7 +44,7 @@ def _parse_row(specs: Sequence[AttributeSpec], row: Sequence[str],
             try:
                 values.append(float(text))
             except ValueError:
-                raise ValueError(
+                raise DataError(
                     f"line {line_number}: {text!r} is not a number for "
                     f"quantitative attribute {spec.name!r}"
                 ) from None

@@ -34,6 +34,12 @@ class SchemaError(ValueError):
     """Raised when a table or attribute specification is inconsistent."""
 
 
+class DataError(ValueError):
+    """Raised when a column holds values the pipeline cannot use, such
+    as NaN in a quantitative attribute.  The CLI reports it as a
+    one-line usage error (exit status 2)."""
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """Declared metadata for a single table column.

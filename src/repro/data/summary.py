@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.schema import Table
+from repro.data.schema import DataError, Table
 
 #: Characters for the eight-level text histogram bars.
 _BARS = " .:-=+*#"
@@ -72,6 +72,11 @@ def profile_table(table: Table,
             values = column.astype(np.float64)
             if len(values) == 0:
                 raise ValueError(f"cannot profile empty column {name!r}")
+            if not np.isfinite(values).all():
+                raise DataError(
+                    f"column {name!r} contains NaN or infinite values; "
+                    "clean the data before profiling"
+                )
             q1, q2, q3 = np.quantile(values, [0.25, 0.5, 0.75])
             profiles.append(
                 QuantitativeProfile(

@@ -17,7 +17,7 @@ it.  This module is the parent-side half that closes the gap:
   is meaningless);
 * the merged snapshot is re-published as an **atomically replaced JSON
   document** (write-temp-then-``os.replace``, the same
-  publish-don't-mutate pattern as the shared-memory scorer blocks) that
+  publish-don't-mutate pattern as ``arcs watch``'s artefacts) that
   every worker re-reads through a :class:`FleetView`, so *any* worker
   answering ``GET /metrics`` serves the fleet-wide view, and
   ``GET /fleet`` exposes the per-worker lifecycle surface (pid, uptime,
@@ -108,7 +108,7 @@ class FleetAggregator:
         self._generation = 0
         self._absorbed = 0
         self._last_publish_seconds: float | None = None
-        #: publisher generation -> broadcast perf_counter stamp.
+        #: sync generation -> broadcast perf_counter stamp.
         self._sync_sent: dict[int, float] = {}
 
     # ------------------------------------------------------------------

@@ -25,8 +25,8 @@ leave in hot paths.  :func:`enable` installs a process-global
 per-run registry so a :class:`~repro.obs.report.RunReport` contains
 exactly one run's numbers, then merges them back so process totals keep
 accumulating.  :meth:`MetricsRegistry.merge_snapshot` absorbs a
-snapshot produced in *another process* (the parallel verifier's workers
-ship their per-block snapshots back over the pool).
+snapshot produced in *another process* (pre-fork serving workers ship
+theirs to the parent's fleet aggregator).
 
 The registry is guarded by a lock (instrument creation and snapshot);
 individual updates rely on the GIL like every mainstream Python metrics
@@ -327,8 +327,8 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict,
                        relabel_gauges: dict | None = None) -> None:
         """Absorb a :meth:`snapshot` payload, possibly from another
-        process (the parallel verifier ships worker snapshots back over
-        the pool).  Histograms with explicit buckets merge per bucket
+        process (the fleet aggregator absorbs serving workers'
+        snapshots).  Histograms with explicit buckets merge per bucket
         and require both sides to share the same bounds; bucket-less
         summaries (older payloads) merge count/total/min/max only.
 

@@ -26,8 +26,8 @@ that missing half, in three layers:
   429 load shedding and a graceful drain;
 * :mod:`repro.serve.workers` — the pre-fork
   :class:`MultiProcessServer`: N forked workers sharing one listening
-  socket and attaching compiled scorer tables zero-copy from
-  ``multiprocessing.shared_memory`` (``arcs serve --workers N``).
+  socket, each scoring through its own :func:`compile_scorer` cache
+  (``arcs serve --workers N``).
 
 CLI: ``arcs serve <model-dir>`` and ``arcs score <model> --input csv``.
 Full reference: ``docs/serving.md``.
@@ -66,7 +66,6 @@ from repro.serve.service import (
 )
 from repro.serve.workers import (
     MultiProcessServer,
-    SharedScorerCache,
     WorkerConfig,
     WorkerError,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ScoringError",
     "ServedModel",
     "ServiceError",
-    "SharedScorerCache",
     "TrafficMonitor",
     "TrafficMonitors",
     "WorkerConfig",

@@ -213,8 +213,10 @@ def compile_scorer(segmentation: Segmentation) -> CompiledScorer:
     """The cached compile step: same segmentation, same scorer object.
 
     ``Segmentation`` is a frozen dataclass of frozen parts, so it keys
-    the LRU cache directly; a registry hot-reload produces a *new*
-    segmentation object and therefore a fresh compile.
+    the LRU cache by *value*: a registry hot-reload of an artefact whose
+    content is unchanged loads an equal segmentation and hits the
+    cache; only changed content compiles again.  Pre-fork serving
+    workers rely on this to resolve scorers after every ``sync``.
     """
     before = _compile_cached.cache_info().hits
     scorer = _compile_cached(segmentation)

@@ -183,7 +183,9 @@ def _interval_dict(interval) -> dict:
 
 
 def _compile_for(model: ServedModel) -> CompiledScorer:
-    """The default scorer provider: the in-process LRU-cached compile."""
+    """How every server resolves a model's scorer: the in-process
+    LRU-cached compile, in the threaded server and in each pre-fork
+    worker alike."""
     return compile_scorer(model.segmentation)
 
 
@@ -192,17 +194,13 @@ class PredictionService:
 
     ``batcher`` (a :class:`~repro.serve.batching.BatchQueue`) routes all
     scoring through the coalescing queue — shed (429) and drain (503)
-    semantics come with it.  ``scorer_provider`` swaps where compiled
-    scorers come from: the default compiles in process; worker processes
-    inject a provider that attaches to the parent's shared-memory
-    tables (:mod:`repro.serve.workers`).
+    semantics come with it.
     """
 
     def __init__(self, registry: ModelRegistry,
                  recent_span_limit: int = 64,
                  monitors: TrafficMonitors | None = None,
                  batcher: BatchQueue | None = None,
-                 scorer_provider=None,
                  fleet_view=None):
         self.registry = registry
         self.started = perf_counter()
@@ -215,10 +213,8 @@ class PredictionService:
         )
         #: Optional request-coalescing queue (None scores inline).
         self.batcher = batcher
-        self.scorer_for = (
-            scorer_provider if scorer_provider is not None
-            else _compile_for
-        )
+        #: Model -> compiled scorer (tests substitute a fake here).
+        self.scorer_for = _compile_for
         #: Extra keys merged into /healthz (worker identity etc.); set
         #: once before serving starts, read-only afterwards.
         self.health_extra: dict = {}

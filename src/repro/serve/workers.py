@@ -1,40 +1,29 @@
-"""Multi-process serving: pre-fork workers over shared-memory scorers.
+"""Multi-process serving: pre-fork workers behind one listening socket.
 
 The threaded server in :mod:`repro.serve.service` is one process behind
 the GIL; this module scales it across cores, gunicorn-style:
 
-* the **parent** binds the listening socket, validates the model
-  directory, compiles every scorer once and *publishes* the compiled
-  position tables into ``multiprocessing.shared_memory`` blocks keyed
-  by model content hash (:class:`ScorerPublisher`);
+* the **parent** binds the listening socket and strictly validates the
+  model directory;
 * N **workers** are forked with the listening socket and each run the
   full request stack — :class:`~repro.serve.service.PredictionService`
   with a :class:`~repro.serve.batching.BatchQueue` — accepting
   connections directly from the shared socket (the kernel load-balances
-  ``accept`` across processes).  Their scorers come from
-  :class:`SharedScorerCache`, which attaches the parent's tables
-  zero-copy (read-only numpy views over the shared buffer) and falls
-  back to a local compile when a block is missing;
+  ``accept`` across processes).  Each worker resolves scorers exactly
+  as the threaded server does, through the in-process
+  :func:`~repro.serve.scorer.compile_scorer` LRU: a compiled table is a
+  few hundred bytes and compiles in about a millisecond, so there is
+  nothing worth sharing across processes;
 * the parent then supervises: a refresh loop re-scans the model
-  directory (hot reload), publishes new blocks, and broadcasts a
-  ``sync`` to every worker; a watchdog restarts crashed workers
+  directory (hot reload) and broadcasts a numbered ``sync`` that every
+  worker answers by refreshing its own registry and acknowledging the
+  generation; a watchdog restarts crashed workers
   (``serve.worker_restarts``); :meth:`MultiProcessServer.drain` stops
   everything gracefully.
 
-**Shared-memory lifecycle on hot reload**: blocks are content-hash
-keyed, so an edited artefact publishes a *new* block under a new name —
-never a mutation of a mapped one.  Every publication bumps a
-*generation*; every spawned worker counts against the unlink floor from
-the moment it forks, workers acknowledge each generation after
-re-attaching, and a replaced block is unlinked only once every live
-worker has acknowledged a generation at or past its retirement.  An
-in-flight request keeps its mapping valid regardless: ``shm_unlink``
-removes the name, not existing mappings, and the worker side never
-*closes* a mapping while a scorer view over it is alive —
-``SharedMemory.close`` unmaps immediately even under live numpy views,
-so each attach defers the close to a finalizer on the last view
-(:func:`_close_mapping_when_views_die`) and the
-:class:`SharedScorerCache` only ever drops references.
+A reloaded artefact with unchanged content loads an *equal*
+:class:`~repro.core.segmentation.Segmentation` and hits the scorer
+cache; only changed content compiles again.
 
 **Fork safety**: the watchdog forks replacement workers from a
 supervision thread while the refresh and ack loops keep running, so a
@@ -61,13 +50,11 @@ latency, snapshot age, drain state).
 the parent broadcasts ``drain``; each worker stops accepting, answers
 new scoring requests with 503, flushes its batch queue so blocked
 callers complete, joins its handler threads, and exits; the parent
-joins every worker, then unlinks all shared blocks and closes the
-socket.
+joins every worker, then closes the socket.
 
-Results are bit-identical to the single-process scorer: an attached
-scorer is a :class:`~repro.serve.scorer.CompiledScorer` over byte-exact
-copies of the parent's tables, scoring through the same code path —
-held to the scalar oracle by ``tests/test_serve_workers.py``.
+Results are bit-identical to the single-process scorer — each worker
+scores through the same :class:`~repro.serve.scorer.CompiledScorer`
+code path, held to the scalar oracle by ``tests/test_serve_workers.py``.
 
 Requires a platform with the ``fork`` start method (Linux, macOS);
 :class:`MultiProcessServer` refuses to build elsewhere — the threaded
@@ -76,26 +63,18 @@ Requires a platform with the ``fork`` start method (Linux, macOS);
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import os
 import shutil
 import signal
-import struct
 import tempfile
 import threading
-import weakref
 from dataclasses import dataclass, replace
-from multiprocessing.shared_memory import SharedMemory
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty
 from time import perf_counter
-
-import numpy as np
-
-from repro.core.segmentation import Segmentation
-from http.server import ThreadingHTTPServer
 
 from repro.obs import events, metrics, tracing
 from repro.obs.fleet import FleetAggregator, FleetView
@@ -110,8 +89,7 @@ from repro.serve.monitor import (
     DEFAULT_WINDOW_SECONDS,
     TrafficMonitors,
 )
-from repro.serve.registry import ModelRegistry, ServedModel
-from repro.serve.scorer import CompiledScorer, compile_scorer
+from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     PredictionHandler,
     PredictionServer,
@@ -122,363 +100,13 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MultiProcessServer",
-    "ScorerPublisher",
-    "SharedScorerCache",
     "WorkerConfig",
     "WorkerError",
-    "attach_scorer",
-    "block_name",
-    "publish_tables",
 ]
 
 
 class WorkerError(RuntimeError):
     """A worker-pool failure (startup, platform, or shutdown)."""
-
-
-#: Shared-memory block layout: an 8-byte little-endian header length,
-#: the JSON header describing each array (dtype, shape, offset), then
-#: the raw array bytes, each 16-byte aligned.
-_LENGTH = struct.Struct("<Q")
-_ALIGN = 16
-
-#: The arrays a compiled scorer is made of, in layout order.
-_TABLE_FIELDS = ("x_edges", "y_edges", "table")
-
-
-def block_name(prefix: str, model_id: str) -> str:
-    """The deterministic shared-memory name for one model's tables."""
-    return f"{prefix}_{model_id}"
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def publish_tables(scorer: CompiledScorer, name: str) -> SharedMemory:
-    """Copy a compiled scorer's tables into a new shared-memory block.
-
-    A stale block under the same name (a previous server instance that
-    crashed before unlinking) is removed first; content-hash keyed
-    names make an *in-use* collision impossible.
-    """
-    arrays = {field: getattr(scorer, field) for field in _TABLE_FIELDS}
-    header: dict = {}
-    for field, array in arrays.items():
-        header[field] = {
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": 0,
-        }
-    # The header's own encoded size shifts the array offsets, and the
-    # offsets' digit count feeds back into the header text, so iterate
-    # to a fixpoint: a header must never be stored with offsets
-    # computed from a shorter encoding than the one written (its tail
-    # would overlap the first array).  Offsets only grow with header
-    # length and their digit count is bounded, so this settles fast.
-    while True:
-        encoded = json.dumps(header, sort_keys=True).encode("ascii")
-        offset = _aligned(_LENGTH.size + len(encoded))
-        changed = False
-        for field, array in arrays.items():
-            if header[field]["offset"] != offset:
-                header[field]["offset"] = offset
-                changed = True
-            offset = _aligned(offset + array.nbytes)
-        if not changed:
-            break
-    total = offset
-    try:
-        shm = SharedMemory(create=True, name=name, size=total)
-    except FileExistsError:
-        stale = SharedMemory(name=name)
-        stale.close()
-        stale.unlink()
-        logger.warning("removed stale shared-memory block %s", name)
-        shm = SharedMemory(create=True, name=name, size=total)
-    shm.buf[:_LENGTH.size] = _LENGTH.pack(len(encoded))
-    shm.buf[_LENGTH.size:_LENGTH.size + len(encoded)] = encoded
-    for field, array in arrays.items():
-        spec = header[field]
-        view = np.ndarray(array.shape, dtype=array.dtype,
-                          buffer=shm.buf, offset=spec["offset"])
-        view[...] = array
-    metrics.inc("serve.shm_published")
-    logger.debug("published %s (%d bytes)", name, total)
-    return shm
-
-
-def _release_block(shm: SharedMemory, model_id: str) -> None:
-    """Close and unlink, tolerating external removal of the file.
-
-    A tmpfs cleaner or an operator ``rm`` under ``/dev/shm`` must not
-    wedge the ack loop or leave :meth:`MultiProcessServer.drain`
-    half-finished — attached mappings survive the unlink either way.
-    """
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        logger.warning("shared block for %s was already removed "
-                       "externally", model_id)
-
-
-def _close_mapping_when_views_die(shm: SharedMemory,
-                                  views: tuple[np.ndarray, ...]) -> None:
-    """Close ``shm`` only once every view over it has been collected.
-
-    ``SharedMemory.close`` unmaps immediately — numpy views built over
-    ``shm.buf`` hold no buffer export that would make it fail, and the
-    object's ``__del__`` calls it too — so a close (or a plain garbage
-    collection of the handle) racing an in-flight ``score_batch`` turns
-    the scorer's arrays into dangling pointers: a segfault, not an
-    exception.  Registering a finalizer per view makes *dropping
-    references* the only cleanup a holder ever needs: the finalizer
-    registry keeps ``shm`` alive exactly as long as the last view, then
-    the mapping is closed once.
-    """
-    # Each mapping needs its own countdown lock, shared by that
-    # mapping's view finalizers via the closure.
-    lock = threading.Lock()
-    remaining = [len(views)]
-
-    def _view_collected() -> None:
-        with lock:
-            remaining[0] -= 1
-            last = remaining[0] == 0
-        if last:
-            shm.close()
-
-    for view in views:
-        weakref.finalize(view, _view_collected)
-
-
-def attach_scorer(name: str,
-                  segmentation: Segmentation,
-                  ) -> tuple[CompiledScorer, SharedMemory]:
-    """Attach published tables as a zero-copy :class:`CompiledScorer`.
-
-    The returned arrays are read-only views over the shared buffer.
-    The mapping outlives them automatically: a finalizer on each view
-    defers ``close`` until the last one is collected
-    (:func:`_close_mapping_when_views_die`), so callers simply drop
-    references when done — closing the returned :class:`SharedMemory`
-    by hand while the scorer may still be scoring is unsafe.  Raises
-    :class:`FileNotFoundError` when the block does not exist (callers
-    fall back to a local compile).
-    """
-    shm = SharedMemory(name=name)
-    (length,) = _LENGTH.unpack_from(shm.buf, 0)
-    header = json.loads(bytes(shm.buf[_LENGTH.size:_LENGTH.size + length]))
-    arrays = {}
-    for field in _TABLE_FIELDS:
-        spec = header[field]
-        view = np.ndarray(tuple(spec["shape"]),
-                          dtype=np.dtype(spec["dtype"]),
-                          buffer=shm.buf, offset=spec["offset"])
-        view.setflags(write=False)
-        arrays[field] = view
-    _close_mapping_when_views_die(shm, tuple(arrays.values()))
-    scorer = CompiledScorer(segmentation=segmentation, **arrays)
-    return scorer, shm
-
-
-# ----------------------------------------------------------------------
-# Parent side: publication and retirement
-# ----------------------------------------------------------------------
-class ScorerPublisher:
-    """Owns the shared-memory blocks for every served model (parent).
-
-    Thread-safe; :meth:`sync` is called from the refresh loop,
-    :meth:`note_ack` from the ack loop, and both race the watchdog's
-    :meth:`reset_worker` — all state is guarded by ``self._lock``.
-    """
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._blocks: dict[str, SharedMemory] = {}
-        #: Blocks replaced or dropped, kept mapped until every live
-        #: worker acknowledges the generation that retired them.
-        self._retired: list[tuple[int, str, SharedMemory]] = []
-        self._acked: dict[int, int] = {}  # worker index -> generation
-
-    @property
-    def generation(self) -> int:
-        with self._lock:
-            return self._generation
-
-    def block_for(self, model_id: str) -> str:
-        return block_name(self.prefix, model_id)
-
-    def sync(self, models: list[ServedModel]) -> int:
-        """Publish blocks for new models, retire removed ones.
-
-        Returns the new generation to broadcast to workers.
-        """
-        with self._lock:
-            self._generation += 1
-            current = {model.model_id: model for model in models}
-            for model_id, model in current.items():
-                if model_id not in self._blocks:
-                    scorer = compile_scorer(model.segmentation)
-                    self._blocks[model_id] = publish_tables(
-                        scorer, block_name(self.prefix, model_id)
-                    )
-            for model_id in list(self._blocks):
-                if model_id not in current:
-                    self._retired.append((
-                        self._generation, model_id,
-                        self._blocks.pop(model_id),
-                    ))
-                    logger.info(
-                        "retiring shared block for %s at generation %d",
-                        model_id, self._generation,
-                    )
-            return self._generation
-
-    def register_worker(self, worker_index: int) -> None:
-        """Count a spawned worker against the unlink floor immediately.
-
-        Seeding generation 0 at spawn time keeps the documented "every
-        live worker has acknowledged" invariant through the startup
-        window: a block retired before a fresh worker delivers its
-        first ack stays mapped until that worker actually re-attaches.
-        ``setdefault`` so an ack racing the registration is kept.
-        """
-        with self._lock:
-            self._acked.setdefault(worker_index, 0)
-
-    def note_ack(self, worker_index: int, generation: int) -> None:
-        """Record a worker's re-attach ack; unlink fully-acked blocks.
-
-        The floor is the minimum over every *registered* worker
-        (:meth:`register_worker` seeds each at spawn), so a worker that
-        has never acked holds every retirement back until it does.
-        """
-        with self._lock:
-            previous = self._acked.get(worker_index, 0)
-            self._acked[worker_index] = max(previous, generation)
-            if not self._acked:
-                return
-            floor = min(self._acked.values())
-            keep = []
-            for retired_at, model_id, shm in self._retired:
-                if retired_at <= floor:
-                    _release_block(shm, model_id)
-                    metrics.inc("serve.shm_retired")
-                    logger.debug("unlinked retired block for %s",
-                                 model_id)
-                else:
-                    keep.append((retired_at, model_id, shm))
-            self._retired = keep
-
-    def reset_worker(self, worker_index: int) -> None:
-        """A worker died: its acks no longer count until it re-attaches."""
-        with self._lock:
-            self._acked[worker_index] = 0
-
-    def close(self) -> None:
-        """Unlink every block (server shutdown)."""
-        with self._lock:
-            for model_id, shm in self._blocks.items():
-                _release_block(shm, model_id)
-            for _, model_id, shm in self._retired:
-                _release_block(shm, model_id)
-            self._blocks = {}
-            self._retired = []
-
-
-# ----------------------------------------------------------------------
-# Worker side: attachment
-# ----------------------------------------------------------------------
-class SharedScorerCache:
-    """Resolves models to scorers, preferring shared tables (worker).
-
-    Drop-in ``scorer_provider`` for
-    :class:`~repro.serve.service.PredictionService`: attaches the
-    parent's block for the model's content hash, falling back to an
-    in-process compile when no block exists (e.g. the parent has not
-    published a just-reloaded artefact yet) or when its header is
-    unreadable (a torn write from a crashed publisher).  ``sync`` drops
-    entries for models no longer served and retries fallbacks, so a
-    worker converges onto shared tables at the next generation.
-
-    The cache never closes a shared mapping: a handler thread may be
-    mid-request through the attached numpy views, and
-    ``SharedMemory.close`` would unmap the buffer under it.  Every
-    method only drops references; the mapping closes itself once the
-    last view is collected (:func:`_close_mapping_when_views_die`).
-    """
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self._lock = threading.Lock()
-        #: model_id -> (scorer, shm | None); the shm handle marks the
-        #: entry as shared (``None`` = local-compile fallback).
-        self._entries: dict[str, tuple[CompiledScorer,
-                                       SharedMemory | None]] = {}
-
-    def resolve(self, model: ServedModel) -> CompiledScorer:
-        with self._lock:
-            entry = self._entries.get(model.model_id)
-        if entry is not None:
-            return entry[0]
-        built = self._build(model)
-        with self._lock:
-            raced = self._entries.get(model.model_id)
-            if raced is not None:
-                # Another thread attached first; drop ours — its
-                # mapping closes once its views are collected.
-                return raced[0]
-            self._entries[model.model_id] = built
-        return built[0]
-
-    def _build(self,
-               model: ServedModel) -> tuple[CompiledScorer,
-                                            SharedMemory | None]:
-        name = block_name(self.prefix, model.model_id)
-        try:
-            scorer, shm = attach_scorer(name, model.segmentation)
-        except FileNotFoundError:
-            logger.info(
-                "no shared block %s; compiling %s locally",
-                name, model.name,
-            )
-            metrics.inc("serve.shm_attach_fallbacks")
-            return compile_scorer(model.segmentation), None
-        except (ValueError, KeyError, struct.error) as error:
-            # A block exists but its header does not parse: degrade to
-            # a local compile rather than turning every request for
-            # the model into a 500.
-            logger.warning(
-                "shared block %s is unreadable (%s: %s); compiling %s "
-                "locally", name, type(error).__name__, error, model.name,
-            )
-            metrics.inc("serve.shm_attach_fallbacks")
-            return compile_scorer(model.segmentation), None
-        metrics.inc("serve.shm_attached")
-        return scorer, shm
-
-    def sync(self, served_ids: set[str]) -> None:
-        """Drop stale entries; re-attach fallbacks next time they score.
-
-        Dropped shared entries are released, never closed here — a
-        request racing a model removal keeps its views valid, and the
-        mapping closes once the last of them is collected.
-        """
-        with self._lock:
-            self._entries = {
-                model_id: entry
-                for model_id, entry in self._entries.items()
-                if model_id in served_ids and entry[1] is not None
-            }
-
-    def close(self) -> None:
-        """Drop every entry; mappings close as their views die."""
-        with self._lock:
-            self._entries = {}
 
 
 # ----------------------------------------------------------------------
@@ -614,9 +242,8 @@ def _telemetry_payload(incarnation: int, started: float,
 
 
 def _worker_main(index: int, worker_count: int, listen_socket,
-                 model_dir, prefix: str, spawn_generation: int,
-                 incarnation: int, config: WorkerConfig, control,
-                 acks) -> None:
+                 model_dir, spawn_generation: int, incarnation: int,
+                 config: WorkerConfig, control, acks) -> None:
     """One scoring worker: serve the shared socket until told to drain."""
     # The parent owns terminal signals; workers drain on its command
     # (or on parent death, seen as EOF on the control pipe).
@@ -625,7 +252,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
     started = perf_counter()
     _reset_child_observability(index, config)
     registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-    cache = SharedScorerCache(prefix)
     batcher = config.build_batcher()
     fleet_view = (
         FleetView(config.fleet_path) if config.fleet_path else None
@@ -635,7 +261,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
         monitors=TrafficMonitors(window_seconds=config.window_seconds,
                                  window_count=config.window_count),
         batcher=batcher,
-        scorer_provider=cache.resolve,
         fleet_view=fleet_view.read if fleet_view is not None else None,
     )
     service.health_extra = {
@@ -681,12 +306,8 @@ def _worker_main(index: int, worker_count: int, listen_socket,
                 )
                 break
             if message[0] == "sync":
-                generation = message[1]
                 registry.refresh()
-                cache.sync({
-                    model.model_id for model in registry.models()
-                })
-                acks.put(("synced", index, generation))
+                acks.put(("synced", index, message[1]))
             elif message[0] == "drain":
                 break
     finally:
@@ -697,7 +318,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
         # server_close joins the in-flight handler threads
         # (block_on_close), completing the graceful drain.
         server.server_close()
-        cache.close()
         telemetry_stop.set()
         if telemetry_thread is not None:
             telemetry_thread.join(timeout=5.0)
@@ -718,9 +338,8 @@ def _worker_main(index: int, worker_count: int, listen_socket,
 class MultiProcessServer:
     """N forked scoring workers behind one shared listening socket.
 
-    Construction binds the socket, strictly loads the model directory
-    and publishes every compiled scorer to shared memory;
-    :meth:`start` forks the workers and the supervision threads;
+    Construction binds the socket and strictly loads the model
+    directory; :meth:`start` forks the workers and the supervision threads;
     :meth:`drain` (or SIGTERM via the CLI) shuts everything down
     gracefully.  ``port=0`` picks a free port — read it back from
     :attr:`url`.
@@ -753,8 +372,6 @@ class MultiProcessServer:
         self.registry = ModelRegistry(
             model_dir, refresh_interval=-1
         ).load()
-        self.prefix = f"arcs{os.getpid():x}"
-        self.publisher = ScorerPublisher(self.prefix)
         self.fleet = FleetAggregator()
         # The fleet document's home: a caller-pinned path survives the
         # drain (CI uploads it); otherwise a private temp directory is
@@ -779,6 +396,10 @@ class MultiProcessServer:
         self._socket.bind((host, port))
         self._socket.listen(128)
         self._lock = threading.Lock()
+        #: Hot-reload generation broadcast with every ``sync``; workers
+        #: acknowledge it, and the fleet surface reports the latency.
+        #: Generation 1 is the load every worker starts from.
+        self._generation = 1
         self._processes: dict[int, multiprocessing.process.BaseProcess]
         self._processes = {}
         self._controls: dict[int, object] = {}
@@ -796,12 +417,11 @@ class MultiProcessServer:
         self._stopped = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started = False
-        self.publisher.sync(self.registry.models())
         metrics.set_gauge("serve.workers", self.worker_count)
         logger.info(
             "multi-process server bound to %s: %d worker(s), "
-            "%d model(s), prefix %s",
-            self.url, self.worker_count, len(self.registry), self.prefix,
+            "%d model(s)",
+            self.url, self.worker_count, len(self.registry),
         )
 
     # ------------------------------------------------------------------
@@ -875,13 +495,10 @@ class MultiProcessServer:
         """Fork worker ``index``; the caller records the returned
         (process, control pipe) pair under ``self._lock``."""
         parent_end, child_end = self._context.Pipe()
-        # Before the fork: the new worker must hold back retirements
-        # from its very first moment, not from its first ack.
-        self.publisher.register_worker(index)
         with self._lock:
             incarnation = self._incarnations.get(index, 0) + 1
             self._incarnations[index] = incarnation
-        generation = self.publisher.generation
+            generation = self._generation
         # Stamp the spawn so the worker's "ready" ack reports its
         # fork-to-ready latency on the fleet surface.
         self.fleet.note_sync_sent(generation)
@@ -889,9 +506,8 @@ class MultiProcessServer:
             target=_worker_main,
             name=f"arcs-worker-{index}",
             args=(index, self.worker_count, self._socket,
-                  self.registry.directory, self.prefix,
-                  generation, incarnation, self.config,
-                  child_end, self._acks),
+                  self.registry.directory, generation, incarnation,
+                  self.config, child_end, self._acks),
             # Daemonic: if the parent dies without draining, workers
             # must not keep the exit hanging — they notice the control
             # pipe EOF and drain themselves anyway.
@@ -903,7 +519,7 @@ class MultiProcessServer:
         return process, parent_end
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: drain workers, join them, release blocks."""
+        """Graceful shutdown: drain workers, join them, close the socket."""
         if self._stopped.is_set():
             return
         self._stopping.set()
@@ -947,7 +563,6 @@ class MultiProcessServer:
                 break
             self._handle_ack(message)
         self._acks.close()
-        self.publisher.close()
         self._socket.close()
         metrics.set_gauge("serve.workers", 0)
         if self._fleet_dir is not None:
@@ -977,11 +592,9 @@ class MultiProcessServer:
         kind, index, *rest = message
         try:
             if kind == "ready":
-                self.publisher.note_ack(index, rest[0])
                 self.fleet.note_sync_ack(index, rest[0])
                 self._ready.release()
             elif kind == "synced":
-                self.publisher.note_ack(index, rest[0])
                 self.fleet.note_sync_ack(index, rest[0])
             elif kind == "telemetry":
                 self.fleet.absorb(index, rest[0])
@@ -995,7 +608,7 @@ class MultiProcessServer:
     def _publish_fleet(self) -> None:
         """Re-publish the merged fleet document for workers to serve.
 
-        The parent's own registry (publisher counters, restart totals,
+        The parent's own registry (reload and restart totals,
         the ``fleet.*`` instruments) rides along labeled
         ``{worker="parent"}`` so nothing the parent observes is
         invisible fleet-wide.
@@ -1016,7 +629,7 @@ class MultiProcessServer:
                 logger.exception("model refresh failed; will retry")
 
     def poll_models(self) -> bool:
-        """One hot-reload step: re-scan, publish, broadcast ``sync``.
+        """One hot-reload step: re-scan, broadcast a numbered ``sync``.
 
         Returns whether anything changed.  Called by the refresh loop;
         public so tests (and callers embedding the server) can drive
@@ -1024,10 +637,11 @@ class MultiProcessServer:
         """
         if not self.registry.refresh():
             return False
-        generation = self.publisher.sync(self.registry.models())
-        self.fleet.note_sync_sent(generation)
         with self._lock:
+            self._generation += 1
+            generation = self._generation
             controls = dict(self._controls)
+        self.fleet.note_sync_sent(generation)
         for index, control in controls.items():
             try:
                 control.send(("sync", generation))
@@ -1057,7 +671,6 @@ class MultiProcessServer:
                     index, exitcode,
                 )
                 metrics.inc("serve.worker_restarts")
-                self.publisher.reset_worker(index)
                 self.fleet.note_restart(index)
                 try:
                     if old_control is not None:

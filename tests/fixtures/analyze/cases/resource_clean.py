@@ -2,9 +2,10 @@
 
 Each pattern here is the cure for a positive in ``resource_bad.py`` —
 ``with`` blocks, ``try/finally`` release, deliberate escape (the caller
-owns the handle), the ``weakref.finalize`` deferred-close idiom from
-``serve/workers.py``, daemon threads, and the close-then-rename tempfile
-publish from ``stream/refitter.py``.  The checker must stay silent.
+owns the handle), the ``weakref.finalize`` deferred-close idiom,
+daemon threads, and the close-then-rename tempfile publish from
+``stream/refitter.py``; plus a closure capture and a constructor
+retried in its own ``except`` handler.  The checker must stay silent.
 """
 
 import os
@@ -43,7 +44,7 @@ def escape_by_registry(name: str) -> None:
 
 
 def deferred_close(name: str) -> "np.ndarray":
-    """The workers.py idiom: close rides on the view's finalizer."""
+    """Close rides on the view's finalizer, never under a live view."""
     shm = SharedMemory(name=name)
     table = np.ndarray((16,), dtype=np.float64, buffer=shm.buf)
     weakref.finalize(table, shm.close)
@@ -70,3 +71,32 @@ def publish_atomic(payload: bytes, destination: str) -> None:
     finally:
         handle.close()
     os.replace(handle.name, destination)
+
+
+def captured_by_closure(path: str):
+    """The nested function owns the handle once it captures it."""
+    handle = open(path)
+
+    def read_and_close() -> str:
+        try:
+            return handle.read()
+        finally:
+            handle.close()
+
+    return read_and_close
+
+
+def replace_stale_block(name: str) -> int:
+    """A failed constructor created nothing: the handler's retry is the
+    only live block, not a second one leaking the first."""
+    try:
+        shm = SharedMemory(create=True, name=name, size=64)
+    except FileExistsError:
+        stale = SharedMemory(name=name)
+        stale.close()
+        stale.unlink()
+        shm = SharedMemory(create=True, name=name, size=64)
+    try:
+        return shm.size
+    finally:
+        shm.close()

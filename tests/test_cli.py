@@ -372,6 +372,38 @@ class TestFailurePaths:
             main([])
 
 
+class TestDataErrors:
+    """Unusable input values are a one-line usage error, exit 2."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "contains NaN"),
+        ("abc", "'abc' is not a number"),
+    ])
+    @pytest.mark.parametrize("command, column, extra", [
+        ("fit", "age", ["--x", "age", "--y", "salary", "--rhs", "group",
+                        "--target", "A", "--support-levels", "2",
+                        "--confidence-levels", "2"]),
+        ("describe", "hvalue", []),
+    ])
+    def test_bad_field_is_exit_2_with_one_line(self, tmp_path, capsys,
+                                               command, column, extra,
+                                               text, message):
+        path = tmp_path / "data.csv"
+        assert main(["generate", str(path), "--tuples", "2000",
+                     "--seed", "1"]) == 0
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[lines[0].split(",").index(column)] = text
+        lines[5] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"arcs {command}: ")
+        assert message in err and repr(column) in err
+        assert err.count("\n") == 1
+
+
 class TestDrift:
     @pytest.fixture()
     def snapshots(self, dataset, tmp_path):

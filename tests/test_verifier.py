@@ -7,6 +7,7 @@ from repro.core.rules import ClusteredRule, Interval
 from repro.core.segmentation import Segmentation
 from repro.core.verifier import Verifier
 from repro.data.schema import Table, categorical, quantitative
+from repro.obs import metrics
 
 
 def make_table(points, labels):
@@ -125,3 +126,29 @@ class TestSampledVerification:
             Verifier(f2_table, "group", "A", sample_size=0)
         with pytest.raises(ValueError):
             Verifier(f2_table, "group", "A", repeats=0)
+
+
+class TestSerialSampling:
+    def test_fixed_seed_report_is_pinned(self, f2_table):
+        """The sampled FP/FN estimate for a fixed seed, to the last bit."""
+        seg = segmentation_over(20, 40, 50_000, 100_000)
+        report = Verifier(f2_table, "group", "A", sample_size=500,
+                          repeats=7, seed=3).verify(seg)
+        assert report.mean_false_positives == 4.285714285714286
+        assert report.mean_false_negatives == 131.57142857142858
+        assert report.error_rate == 0.27171428571428574
+        assert report.error_rate_stderr == 0.004729412959213381
+
+    def test_counters_record_samples_and_tuples(self, f2_table):
+        registry = metrics.MetricsRegistry()
+        metrics.enable(registry)
+        try:
+            Verifier(f2_table, "group", "A", sample_size=200,
+                     repeats=6, seed=13).verify(
+                segmentation_over(20, 40, 50_000, 100_000)
+            )
+        finally:
+            metrics.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["verifier.samples_drawn"] == 6
+        assert counters["verifier.tuples_sampled"] == 6 * 200
