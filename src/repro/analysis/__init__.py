@@ -1,7 +1,9 @@
 """Analysis utilities around ARCS output.
 
-* :mod:`repro.analysis.segmentation` — the segmentation object (all
-  clustered rules for one criterion value) and its region algebra.
+* :class:`Segmentation` — the segmentation object (all clustered rules
+  for one criterion value) and its region algebra, re-exported here from
+  :mod:`repro.core.segmentation`, where it lives because core depends on
+  it.
 * :mod:`repro.analysis.accuracy` — the exact, area-based
   false-positive/false-negative analysis of paper Figure 9, available when
   the generating function's true regions are known.

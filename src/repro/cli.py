@@ -28,9 +28,13 @@ Subcommands mirror the library workflow:
 
 Every command is driven by :func:`main`, which takes an argv list so
 tests can invoke it without a subprocess.  Usage errors exit with
-status 2: argparse's own, and input data the pipeline cannot use (a
-:class:`~repro.data.schema.DataError`, such as NaN in a quantitative
-column), reported as one ``arcs <command>: <message>`` line on stderr.
+status 2: argparse's own, and input the pipeline cannot use, reported
+as one ``arcs <command>: <message>`` line on stderr — a missing input
+file, an unknown attribute (:class:`~repro.data.schema.SchemaError`),
+a file that is not an ARCS artefact
+(:class:`~repro.persistence.PersistenceError`), a ``--target`` value
+outside the RHS domain, or values such as NaN in a quantitative column
+(:class:`~repro.data.schema.DataError`).
 
 Observability flags (``fit``, ``fit-all``, ``remine``, ``describe``,
 ``inspect``) expose the :mod:`repro.obs` layer without code changes:
@@ -61,6 +65,7 @@ import repro
 from repro import obs
 from repro.obs import trace
 from repro.binning.binner import record_occupancy
+from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import STRATEGIES
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.clusterer import GridClusterer
@@ -70,6 +75,7 @@ from repro.data.io import read_csv, write_csv
 from repro.data.schema import (
     AttributeSpec,
     DataError,
+    SchemaError,
     categorical,
     quantitative,
 )
@@ -77,6 +83,7 @@ from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
 from repro.data.summary import format_occupancy, profile_bin_array
 from repro.obs.report import RunCapture, RunReport
 from repro.persistence import (
+    PersistenceError,
     load_bin_array,
     load_segmentation,
     save_bin_array,
@@ -229,21 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scoring worker processes sharing the "
                             "listening socket (0 = single threaded "
                             "process)")
-    serve.add_argument("--batch-window", type=float, default=None,
-                       metavar="MS",
-                       help="coalesce concurrent scoring calls for up "
-                            "to MS milliseconds into one batch gather "
-                            "(default: 2 with --workers, off without; "
-                            "an explicit 0 disables batching in "
-                            "either mode)")
-    serve.add_argument("--max-batch", type=int, default=None,
-                       metavar="POINTS",
-                       help="flush a batch early once this many points "
-                            "wait for one model (default 1024)")
     serve.add_argument("--queue-depth", type=int, default=None,
                        metavar="N",
                        help="shed requests with HTTP 429 once N "
-                            "submissions are queued (default 256)")
+                            "scoring calls are in flight, per process "
+                            "(default 256)")
     serve.add_argument("--fleet-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="with --workers: how often each worker "
@@ -406,10 +403,13 @@ def _infer_specs(path: Path) -> list[AttributeSpec]:
     return specs
 
 
-def _coerce_target(value: str):
-    """CSV round trips stringify everything, so targets stay strings
-    unless the RHS encoding holds numbers."""
-    return value
+def _target_code(encoding: CategoricalEncoding, target: str) -> int:
+    """Look ``--target`` up in the RHS domain; a value outside it is a
+    usage error, not a ``KeyError`` from deep inside the pipeline."""
+    try:
+        return encoding.code_of(target)
+    except KeyError as error:
+        raise DataError(error.args[0]) from None
 
 
 def _configure_observability(args: argparse.Namespace) -> None:
@@ -489,6 +489,10 @@ def _command_fit(args: argparse.Namespace) -> int:
     specs = _infer_specs(args.data)
     table = read_csv(args.data, specs)
     print(f"loaded {len(table):,} tuples from {args.data}")
+    _target_code(
+        CategoricalEncoding(args.rhs, table.categorical_values(args.rhs)),
+        args.target,
+    )
 
     config = ARCSConfig(
         n_bins_x=args.bins,
@@ -502,7 +506,7 @@ def _command_fit(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     result = ARCS(config).fit(
-        table, args.x, args.y, args.rhs, _coerce_target(args.target),
+        table, args.x, args.y, args.rhs, args.target,
         on_trial=print if args.verbose else None,
     )
     elapsed = time.perf_counter() - start
@@ -557,8 +561,7 @@ def _command_remine(args: argparse.Namespace) -> int:
     }) as capture:
         bin_array = load_bin_array(args.binarray)
         record_occupancy(bin_array)
-        target = _coerce_target(args.target)
-        rhs_code = bin_array.rhs_encoding.code_of(target)
+        rhs_code = _target_code(bin_array.rhs_encoding, args.target)
         outcome = GridClusterer().cluster(
             bin_array, rhs_code, args.min_support, args.min_confidence
         )
@@ -665,23 +668,6 @@ def _describe_served(registry, source: Path, url: str,
               f"{segmentation.rhs_value} [{len(segmentation)} rules]")
 
 
-def _batch_window_seconds(batch_window: float | None,
-                          workers: int) -> float:
-    """Resolve ``--batch-window`` (milliseconds, or unset) by mode.
-
-    Unset means default-by-mode: workers coalesce by default (batched
-    gathers are the point of a multi-core front end), the threaded path
-    stays unbatched.  An explicit ``0`` opts out of batching in either
-    mode — distinguishable from the default because the flag's argparse
-    default is ``None``, not ``0``.
-    """
-    from repro.serve.batching import DEFAULT_MAX_DELAY_SECONDS
-
-    if batch_window is None:
-        return DEFAULT_MAX_DELAY_SECONDS if workers > 0 else 0.0
-    return batch_window / 1000.0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         WorkerConfig,
@@ -690,15 +676,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         run_multiprocess_server,
         run_server,
     )
-    from repro.serve.batching import (
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_DEPTH,
-    )
+    from repro.serve.batching import DEFAULT_MAX_DEPTH
 
     if args.workers < 0:
         raise SystemExit("arcs serve: --workers must be >= 0")
-    if args.batch_window is not None and args.batch_window < 0:
-        raise SystemExit("arcs serve: --batch-window must be >= 0")
+    if args.queue_depth is not None and args.queue_depth < 1:
+        raise SystemExit("arcs serve: --queue-depth must be >= 1")
     if args.fleet_interval is not None and args.fleet_interval < 0:
         raise SystemExit("arcs serve: --fleet-interval must be >= 0")
     # A serving process exists to be watched: collect metrics so
@@ -706,16 +689,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     obs.enable(
         trace_spans=getattr(args, "trace", False), collect_metrics=True
     )
-    window_seconds = _batch_window_seconds(args.batch_window,
-                                           args.workers)
+    queue_depth = (args.queue_depth if args.queue_depth is not None
+                   else DEFAULT_MAX_DEPTH)
     if args.workers > 0:
         config = WorkerConfig(
-            batch_window_seconds=window_seconds,
-            max_batch=(args.max_batch if args.max_batch is not None
-                       else DEFAULT_MAX_BATCH),
-            queue_depth=(args.queue_depth
-                         if args.queue_depth is not None
-                         else DEFAULT_MAX_DEPTH),
+            queue_depth=queue_depth,
             events_out=(str(args.events_out)
                         if getattr(args, "events_out", None) is not None
                         else None),
@@ -737,9 +715,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     server = create_server(
         args.models, host=args.host, port=args.port,
         refresh_interval=args.refresh_interval,
-        batch_window_seconds=window_seconds,
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
+        queue_depth=queue_depth,
     )
     _describe_served(server.service.registry, args.models, server.url)
     run_server(server)
@@ -883,11 +859,12 @@ def _command_watch(args: argparse.Namespace) -> int:
             WindowConfig(mode=args.mode, size=args.window,
                          refit_every=args.refit_every),
         )
+        _target_code(binner.rhs_encoding, args.target)
         name = args.name or f"watch_{args.target}"
         try:
             refitter = StreamRefitter(
                 binner.x_layout, binner.y_layout, binner.rhs_encoding,
-                window, _coerce_target(args.target), args.models, name,
+                window, args.target, args.models, name,
                 RefitterConfig(min_support=args.min_support,
                                min_confidence=args.min_confidence),
             )
@@ -1141,7 +1118,8 @@ def main(argv: list[str] | None = None) -> int:
         profiler = SamplingProfiler().start()
     try:
         return _COMMANDS[args.command](args)
-    except DataError as error:
+    except (DataError, SchemaError, PersistenceError,
+            FileNotFoundError) as error:
         print(f"arcs {args.command}: {error}", file=sys.stderr)
         return 2
     finally:

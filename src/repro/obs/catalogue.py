@@ -96,7 +96,7 @@ METRICS: dict[str, tuple[str, str]] = {
          'fraction of recently scored points outside the trained bin range, per LHS attribute and model'),
     'serve.queue_depth':
         ('gauge',
-         'scoring submissions currently waiting in the batch queue'),
+         'scoring calls currently in flight'),
     'serve.reload_errors':
         ('counter',
          'artefacts that failed to reload (previous version kept)'),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +225,15 @@ def save_bin_array(bin_array: BinArray, path: str | Path) -> None:
 
 def load_bin_array(path: str | Path) -> BinArray:
     """Read a BinArray previously written by :func:`save_bin_array`."""
-    with np.load(path) as archive:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as error:
+        raise PersistenceError(
+            f"{path} is not a persisted BinArray: {error}"
+        ) from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise PersistenceError(f"{path} is not a persisted BinArray")
+    with archive:
         try:
             metadata = json.loads(bytes(archive["metadata"]).decode())
         except (KeyError, ValueError) as error:

@@ -21,9 +21,8 @@ that missing half, in three layers:
   re-bin scored traffic into the training grid and score drift
   (PSI / Jensen-Shannon) against the artefact's reference profile,
   surfaced via ``GET /stats``, drift gauges and threshold events;
-* :mod:`repro.serve.batching` — a :class:`BatchQueue` coalescing
-  concurrent scoring calls into single ``score_batch`` gathers, with
-  429 load shedding and a graceful drain;
+* :mod:`repro.serve.batching` — a :class:`BatchQueue` bounding the
+  scoring calls in flight, with 429 load shedding past the bound;
 * :mod:`repro.serve.workers` — the pre-fork
   :class:`MultiProcessServer`: N forked workers sharing one listening
   socket, each scoring through its own :func:`compile_scorer` cache
@@ -43,7 +42,6 @@ from repro.serve.app import (
 from repro.serve.batching import (
     BatchingError,
     BatchQueue,
-    DrainingError,
     QueueFullError,
 )
 from repro.serve.monitor import TrafficMonitor, TrafficMonitors
@@ -74,7 +72,6 @@ __all__ = [
     "BatchQueue",
     "BatchingError",
     "CompiledScorer",
-    "DrainingError",
     "ModelDirectoryError",
     "ModelNotFoundError",
     "ModelRegistry",

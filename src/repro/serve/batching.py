@@ -1,128 +1,56 @@
-"""Request batching: coalescing concurrent predictions into one gather.
+"""Admission control for scoring: a bound on calls in flight.
 
-The compiled scorer's batch path costs two ``searchsorted`` calls and a
-2-D gather regardless of how many tuples ride along — scoring 64 points
-in one call is barely slower than scoring one.  A busy server receiving
-many concurrent single-point ``/predict`` calls therefore wastes almost
-all of its scoring time on per-call overhead.  :class:`BatchQueue`
-recovers that waste: handler threads *submit* their points and block; a
-single collector thread coalesces everything waiting for the same
-scorer into one ``score_batch`` gather and distributes the per-point
-results back.  Results are bit-identical to unbatched scoring because a
-gather is elementwise — concatenation order cannot change any answer.
+Scoring one point through a compiled scorer is two ``searchsorted``
+calls and a gather — a fraction of a millisecond, less than any
+batching window would add — so handler threads score inline, in their
+own thread, in both server modes.  Callers that have many points send
+them in one ``/predict_batch`` request; that is the batch path.
 
-Two knobs bound the added latency and memory:
-
-* ``max_delay_seconds`` — the batching *window*: a submission never
-  waits longer than this for co-travellers (the CLI exposes it in
-  milliseconds as ``--batch-window``);
-* ``max_batch`` — a flush fires early once this many *points* are
-  waiting for one scorer, so a burst cannot build an unbounded gather.
-
-Back-pressure is explicit: once ``max_depth`` submissions are queued,
-:meth:`submit` raises :class:`QueueFullError` — the service maps it to
-HTTP 429 (load shedding) and counts it in ``serve.shed_total{endpoint}``.
-The current depth is exported continuously as the ``serve.queue_depth``
-gauge.  :meth:`close` drains gracefully: new submissions are refused
-with :class:`DrainingError` (HTTP 503) while everything already queued
-is flushed and answered before the collector thread exits.
+:class:`BatchQueue` keeps the one mechanism that still pays: explicit
+back-pressure.  Once ``max_depth`` scoring calls are in flight,
+:meth:`BatchQueue.submit` raises :class:`QueueFullError` — the service
+maps it to HTTP 429 (load shedding) and counts it in
+``serve.shed_total{endpoint}``.  The number in flight is exported
+continuously as the ``serve.queue_depth`` gauge.
 
 Concurrency discipline (machine-checked by the ``concurrency`` pass of
-``tools.analyze``): every mutable attribute is guarded by
-``self._lock``; per-submission state is handed across threads through a
-:class:`threading.Event` per submission, set only after its result
-fields are written.
+``tools.analyze``): the depth counter is guarded by ``self._lock``; the
+scoring call itself runs outside the lock.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
-from time import perf_counter
 
 import numpy as np
 
-from repro.obs import events, metrics
+from repro.obs import metrics
 from repro.serve.scorer import CompiledScorer, ScoringError
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BatchQueue",
     "BatchingError",
-    "DrainingError",
     "QueueFullError",
 ]
 
-#: Default batching window, seconds (2 ms — far below human-visible
-#: latency, long enough to coalesce genuinely concurrent requests).
-DEFAULT_MAX_DELAY_SECONDS = 0.002
-
-#: Default early-flush bound, in points waiting for one scorer.
-DEFAULT_MAX_BATCH = 1024
-
-#: Default shedding bound, in queued submissions across all scorers.
+#: Default shedding bound, in scoring calls in flight.
 DEFAULT_MAX_DEPTH = 256
 
 
 class BatchingError(RuntimeError):
-    """Base type for batching failures (library exception policy)."""
+    """Base type for admission failures (library exception policy)."""
 
 
 class QueueFullError(BatchingError):
-    """The queue is at ``max_depth``; the request should be shed (429)."""
-
-
-class DrainingError(BatchingError):
-    """The queue is closed or closing; new work is refused (503)."""
-
-
-class _Submission:
-    """One blocked caller's points and its result hand-off slot.
-
-    The submitting thread parks on ``done``; the collector writes
-    ``result`` *or* ``error`` and then sets the event — the event is the
-    publication barrier, so these fields need no lock of their own.
-
-    ``request_id`` carries the submitting request's correlation id
-    across the thread hand-off: the collector runs outside the
-    handler's context, so the id is captured at submit time and names
-    the victims when a coalesced flush fails.
-    """
-
-    __slots__ = ("x_values", "y_values", "request_id", "done", "result",
-                 "error")
-
-    def __init__(self, x_values: np.ndarray, y_values: np.ndarray):
-        self.x_values = x_values
-        self.y_values = y_values
-        self.request_id = events.current_request_id()
-        self.done = threading.Event()
-        self.result: np.ndarray | None = None
-        self.error: BaseException | None = None
-
-    def __len__(self) -> int:
-        return len(self.x_values)
-
-
-class _Group:
-    """The submissions waiting for one scorer, oldest first."""
-
-    __slots__ = ("items", "points", "opened_at")
-
-    def __init__(self, opened_at: float):
-        self.items: list[_Submission] = []
-        self.points = 0
-        self.opened_at = opened_at
+    """``max_depth`` calls are in flight; shed the request (429)."""
 
 
 def _checked_arrays(scorer: CompiledScorer, x_values,
                     y_values) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one submission up front, before it can join a batch.
+    """Validate one submission before it is admitted.
 
-    A NaN (or a shape mismatch) must fail *this* request with the same
-    error unbatched scoring would raise — never the innocent requests
-    coalesced alongside it.
+    A NaN or a shape mismatch fails the request with a
+    :class:`ScoringError` naming the offending column.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
@@ -143,180 +71,41 @@ def _checked_arrays(scorer: CompiledScorer, x_values,
 
 
 class BatchQueue:
-    """Coalesces concurrent scoring requests into single batch gathers.
+    """Admits at most ``max_depth`` concurrent scoring calls."""
 
-    One collector thread serves every scorer; submissions for the same
-    :class:`CompiledScorer` object (scorers are cached per model
-    version, so object identity *is* model identity) are concatenated
-    into one ``score_batch`` call per window.
-    """
-
-    def __init__(self, *,
-                 max_delay_seconds: float = DEFAULT_MAX_DELAY_SECONDS,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
-        if max_delay_seconds < 0:
-            raise BatchingError("max_delay_seconds must be >= 0")
-        if max_batch < 1:
-            raise BatchingError("max_batch must be at least 1")
+    def __init__(self, *, max_depth: int = DEFAULT_MAX_DEPTH):
         if max_depth < 1:
             raise BatchingError("max_depth must be at least 1")
-        self.max_delay_seconds = float(max_delay_seconds)
-        self.max_batch = int(max_batch)
         self.max_depth = int(max_depth)
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._groups: dict[CompiledScorer, _Group] = {}
         self._depth = 0
-        self._closing = False
         metrics.set_gauge("serve.queue_depth", 0)
-        self._collector = threading.Thread(
-            target=self._collect_forever, name="arcs-batcher", daemon=True
-        )
-        self._collector.start()
 
-    # ------------------------------------------------------------------
-    # Producer side (handler threads)
-    # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        """Submissions currently queued (the shed gauge's source)."""
+        """Scoring calls currently in flight (the shed gauge's source)."""
         with self._lock:
             return self._depth
 
     def submit(self, scorer: CompiledScorer, x_values,
                y_values) -> np.ndarray:
-        """Score through the queue; blocks until the batch flushes.
+        """Score in the calling thread, unless the bound is reached.
 
-        Raises :class:`QueueFullError` at ``max_depth`` (shed),
-        :class:`DrainingError` once closed, and :class:`ScoringError`
-        for invalid input — exactly as direct scoring would.
+        Raises :class:`QueueFullError` at ``max_depth`` (shed) and
+        :class:`ScoringError` for invalid input.
         """
         x_values, y_values = _checked_arrays(scorer, x_values, y_values)
-        item = _Submission(x_values, y_values)
         with self._lock:
-            if self._closing:
-                raise DrainingError(
-                    "batch queue is draining; not accepting new work"
-                )
             if self._depth >= self.max_depth:
                 raise QueueFullError(
-                    f"batch queue is full ({self._depth} submissions "
-                    f"queued, bound {self.max_depth})"
+                    f"batch queue is full ({self._depth} scoring calls "
+                    f"in flight, bound {self.max_depth})"
                 )
-            group = self._groups.get(scorer)
-            if group is None:
-                group = _Group(opened_at=perf_counter())
-                self._groups[scorer] = group
-            group.items.append(item)
-            group.points += len(item)
             self._depth += 1
             metrics.set_gauge("serve.queue_depth", self._depth)
-            self._work.notify()
-        item.done.wait()
-        if item.error is not None:
-            raise item.error
-        assert item.result is not None
-        return item.result
-
-    # ------------------------------------------------------------------
-    # Collector side (one daemon thread)
-    # ------------------------------------------------------------------
-    def _collect_forever(self) -> None:
-        # The batch-pick logic lives inline under the with-block (not in
-        # a helper) so the lock discipline stays visible to the
-        # ``concurrency`` checker.
-        while True:
-            with self._lock:
-                while not self._groups and not self._closing:
-                    self._work.wait()
-                if not self._groups and self._closing:
-                    return
-                # Wait out the oldest group's window: until its deadline
-                # passes, its point count crosses max_batch, or the
-                # queue starts draining.  Only this thread ever removes
-                # groups, so the chosen group survives the waits.
-                while True:
-                    scorer = min(
-                        self._groups,
-                        key=lambda s: self._groups[s].opened_at,
-                    )
-                    group = self._groups[scorer]
-                    if self._closing or group.points >= self.max_batch:
-                        break
-                    remaining = (group.opened_at + self.max_delay_seconds
-                                 - perf_counter())
-                    if remaining <= 0:
-                        break
-                    self._work.wait(remaining)
-                # Pop whole submissions until the next would cross
-                # max_batch; always take at least one so an oversized
-                # predict_batch still passes through as its own gather.
-                items: list[_Submission] = []
-                points = 0
-                while group.items:
-                    item = group.items[0]
-                    if items and points + len(item) > self.max_batch:
-                        break
-                    items.append(group.items.pop(0))
-                    points += len(item)
-                    group.points -= len(item)
-                if not group.items:
-                    del self._groups[scorer]
-                else:
-                    group.opened_at = perf_counter()
-                self._depth -= len(items)
-                metrics.set_gauge("serve.queue_depth", self._depth)
-            if items:
-                self._flush(scorer, items)
-
-    def _flush(self, scorer: CompiledScorer,
-               items: list[_Submission]) -> None:
-        """Score one coalesced batch and answer every submission."""
         try:
-            if len(items) == 1:
-                results = [scorer.score_batch(items[0].x_values,
-                                              items[0].y_values)]
-            else:
-                x_all = np.concatenate([i.x_values for i in items])
-                y_all = np.concatenate([i.y_values for i in items])
-                merged = scorer.score_batch(x_all, y_all)
-                bounds = np.cumsum([len(i) for i in items])
-                results = np.split(merged, bounds[:-1])
-            for item, result in zip(items, results):
-                item.result = result
-                item.done.set()
-        except BaseException as error:  # answer waiters, never hang them
-            logger.exception(
-                "batch flush failed (%d submissions; request ids %s)",
-                len(items),
-                [item.request_id for item in items],
-            )
-            for item in items:
-                if not item.done.is_set():
-                    item.error = error
-                    item.done.set()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drain: refuse new work, flush what's queued, join the thread.
-
-        Idempotent; safe to call from any thread but the collector.
-        """
-        with self._lock:
-            if self._closing:
-                already = True
-            else:
-                already = False
-                self._closing = True
-            self._work.notify_all()
-        if not already:
-            self._collector.join()
-            metrics.set_gauge("serve.queue_depth", 0)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closing
+            return scorer.score_batch(x_values, y_values)
+        finally:
+            with self._lock:
+                self._depth -= 1
+                metrics.set_gauge("serve.queue_depth", self._depth)

@@ -70,11 +70,7 @@ from repro.obs.profiler import profile_for
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus, render_registry
 from repro.obs.tracing import Span
-from repro.serve.batching import (
-    BatchQueue,
-    DrainingError,
-    QueueFullError,
-)
+from repro.serve.batching import BatchQueue, QueueFullError
 from repro.serve.monitor import TrafficMonitors
 from repro.serve.registry import ModelRegistry, ServedModel
 from repro.serve.scorer import (
@@ -192,9 +188,10 @@ def _compile_for(model: ServedModel) -> CompiledScorer:
 class PredictionService:
     """Endpoint logic over a :class:`ModelRegistry` (transport-free).
 
-    ``batcher`` (a :class:`~repro.serve.batching.BatchQueue`) routes all
-    scoring through the coalescing queue — shed (429) and drain (503)
-    semantics come with it.
+    Every scoring call passes ``batcher``, a
+    :class:`~repro.serve.batching.BatchQueue` bounding the calls in
+    flight (past the bound: 429); ``None`` builds one with the default
+    bound.
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -211,8 +208,8 @@ class PredictionService:
         self.monitors = (
             monitors if monitors is not None else TrafficMonitors()
         )
-        #: Optional request-coalescing queue (None scores inline).
-        self.batcher = batcher
+        #: Admission bound on scoring calls in flight.
+        self.batcher = batcher if batcher is not None else BatchQueue()
         #: Model -> compiled scorer (tests substitute a fake here).
         self.scorer_for = _compile_for
         #: Extra keys merged into /healthz (worker identity etc.); set
@@ -474,16 +471,14 @@ class PredictionService:
     def _score_arrays(self, model: ServedModel, x_values: np.ndarray,
                       y_values: np.ndarray,
                       endpoint: str) -> np.ndarray:
-        """Score a batch directly or through the coalescing queue.
+        """Score a batch inline, behind the admission bound.
 
         Maps the scoring-path failure modes to their HTTP statuses:
-        invalid input 400, queue full 429 (counted in
-        ``serve.shed_total{endpoint}``), draining 503.
+        invalid input 400, bound reached 429 (counted in
+        ``serve.shed_total{endpoint}``).
         """
         scorer = self.scorer_for(model)
         try:
-            if self.batcher is None:
-                return scorer.score_batch(x_values, y_values)
             return self.batcher.submit(scorer, x_values, y_values)
         except ScoringError as error:  # NaN input
             raise ServiceError(400, str(error)) from None
@@ -491,8 +486,6 @@ class PredictionService:
             metrics.inc("serve.shed_total", labels={"endpoint": endpoint})
             events.emit("shed", endpoint=endpoint, model=model.name)
             raise ServiceError(429, str(error)) from None
-        except DrainingError as error:
-            raise ServiceError(503, str(error)) from None
 
     def _record_traffic(self, model: ServedModel, x_values, y_values,
                         rule_indices) -> None:

@@ -7,7 +7,8 @@ the GIL; this module scales it across cores, gunicorn-style:
   model directory;
 * N **workers** are forked with the listening socket and each run the
   full request stack — :class:`~repro.serve.service.PredictionService`
-  with a :class:`~repro.serve.batching.BatchQueue` — accepting
+  scoring inline behind its own
+  :class:`~repro.serve.batching.BatchQueue` admission bound — accepting
   connections directly from the shared socket (the kernel load-balances
   ``accept`` across processes).  Each worker resolves scorers exactly
   as the threaded server does, through the in-process
@@ -48,8 +49,8 @@ latency, snapshot age, drain state).
 
 **Graceful drain** (SIGTERM via the CLI, or :meth:`drain` directly):
 the parent broadcasts ``drain``; each worker stops accepting, answers
-new scoring requests with 503, flushes its batch queue so blocked
-callers complete, joins its handler threads, and exits; the parent
+new scoring requests with 503, joins its handler threads (so in-flight
+requests complete), and exits; the parent
 joins every worker, then closes the socket.
 
 Results are bit-identical to the single-process scorer — each worker
@@ -78,12 +79,7 @@ from time import perf_counter
 
 from repro.obs import events, metrics, tracing
 from repro.obs.fleet import FleetAggregator, FleetView
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_SECONDS,
-    DEFAULT_MAX_DEPTH,
-    BatchQueue,
-)
+from repro.serve.batching import DEFAULT_MAX_DEPTH, BatchQueue
 from repro.serve.monitor import (
     DEFAULT_WINDOW_COUNT,
     DEFAULT_WINDOW_SECONDS,
@@ -116,9 +112,7 @@ class WorkerError(RuntimeError):
 class WorkerConfig:
     """Per-worker serving knobs, shared by the parent and the CLI."""
 
-    #: Batching window in seconds; 0 disables the queue entirely.
-    batch_window_seconds: float = DEFAULT_MAX_DELAY_SECONDS
-    max_batch: int = DEFAULT_MAX_BATCH
+    #: Scoring calls in flight per worker before requests are shed.
     queue_depth: int = DEFAULT_MAX_DEPTH
     window_seconds: float = DEFAULT_WINDOW_SECONDS
     window_count: int = DEFAULT_WINDOW_COUNT
@@ -134,15 +128,6 @@ class WorkerConfig:
     #: private temp directory it cleans up on drain; a caller-pinned
     #: path survives the drain (CI uploads it as an artifact).
     fleet_path: str | None = None
-
-    def build_batcher(self) -> BatchQueue | None:
-        if self.batch_window_seconds <= 0:
-            return None
-        return BatchQueue(
-            max_delay_seconds=self.batch_window_seconds,
-            max_batch=self.max_batch,
-            max_depth=self.queue_depth,
-        )
 
 
 class _AdoptedSocketServer(PredictionServer):
@@ -252,7 +237,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
     started = perf_counter()
     _reset_child_observability(index, config)
     registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-    batcher = config.build_batcher()
     fleet_view = (
         FleetView(config.fleet_path) if config.fleet_path else None
     )
@@ -260,7 +244,7 @@ def _worker_main(index: int, worker_count: int, listen_socket,
         registry,
         monitors=TrafficMonitors(window_seconds=config.window_seconds,
                                  window_count=config.window_count),
-        batcher=batcher,
+        batcher=BatchQueue(max_depth=config.queue_depth),
         fleet_view=fleet_view.read if fleet_view is not None else None,
     )
     service.health_extra = {
@@ -312,8 +296,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
                 break
     finally:
         service.begin_drain()
-        if batcher is not None:
-            batcher.close()
         server.shutdown()
         # server_close joins the in-flight handler threads
         # (block_on_close), completing the graceful drain.

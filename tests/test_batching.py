@@ -1,7 +1,6 @@
-"""Tests for the request-batching queue (repro.serve.batching)."""
+"""Tests for the scoring admission bound (repro.serve.batching)."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.perf.reference import score_batch_scalar
 from repro.serve import (
     BatchingError,
     BatchQueue,
-    DrainingError,
     ModelRegistry,
     PredictionService,
     QueueFullError,
@@ -46,24 +44,7 @@ def scorer(segmentation):
 
 @pytest.fixture()
 def queue():
-    built = BatchQueue()
-    yield built
-    built.close()
-
-
-class CountingScorer:
-    """Wraps a real scorer, recording every gather's size."""
-
-    def __init__(self, scorer):
-        self.scorer = scorer
-        self.segmentation = scorer.segmentation
-        self.calls = []
-        self._lock = threading.Lock()
-
-    def score_batch(self, x_values, y_values):
-        with self._lock:
-            self.calls.append(len(x_values))
-        return self.scorer.score_batch(x_values, y_values)
+    return BatchQueue()
 
 
 class TestBatchQueue:
@@ -77,41 +58,6 @@ class TestBatchQueue:
             result, score_batch_scalar(segmentation, x, y)
         )
 
-    def test_concurrent_submissions_coalesce(self, segmentation):
-        counting = CountingScorer(compile_scorer(segmentation))
-        # A long window so every thread lands in one flush.
-        queue = BatchQueue(max_delay_seconds=0.2)
-        try:
-            results = {}
-            barrier = threading.Barrier(8)
-
-            def submit(index):
-                barrier.wait()
-                x = np.array([25.0 + index])
-                y = np.array([60_000.0])
-                results[index] = queue.submit(counting, x, y)
-
-            threads = [
-                threading.Thread(target=submit, args=(i,))
-                for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            queue.close()
-        # All 8 points answered, in strictly fewer gathers than calls
-        # (the barrier makes a fully serial schedule impossible).
-        assert sorted(results) == list(range(8))
-        assert sum(counting.calls) == 8
-        assert len(counting.calls) < 8
-        for index, result in results.items():
-            expected = score_batch_scalar(
-                segmentation, [25.0 + index], [60_000.0]
-            )
-            assert np.array_equal(result, expected)
-
     def test_batched_equals_unbatched_bitwise(self, queue, scorer,
                                               segmentation):
         rng = np.random.default_rng(42)
@@ -122,16 +68,6 @@ class TestBatchQueue:
                 queue.submit(scorer, x, y),
                 score_batch_scalar(segmentation, x, y),
             )
-
-    def test_oversized_batch_passes_through(self, scorer):
-        queue = BatchQueue(max_batch=4)
-        try:
-            x = np.full(32, 25.0)
-            y = np.full(32, 60_000.0)
-            result = queue.submit(scorer, x, y)
-            assert len(result) == 32
-        finally:
-            queue.close()
 
     def test_nan_fails_only_the_bad_submission(self, queue, scorer):
         with pytest.raises(ScoringError, match="NaN"):
@@ -144,107 +80,62 @@ class TestBatchQueue:
             queue.submit(scorer, [1.0, 2.0], [1.0])
 
     def test_queue_full_sheds(self, scorer):
-        queue = BatchQueue(max_depth=1, max_delay_seconds=0.0)
-        started = threading.Event()
+        queue = BatchQueue(max_depth=1)
+        entered = threading.Event()
         release = threading.Event()
 
-        class SlowScorer:
+        class HeldScorer:
             segmentation = scorer.segmentation
 
             def score_batch(self, x_values, y_values):
-                started.set()
+                entered.set()
                 assert release.wait(30.0), "test never released scorer"
                 return scorer.score_batch(x_values, y_values)
 
-        slow = SlowScorer()
+        results = []
+        holder = threading.Thread(target=lambda: results.append(
+            queue.submit(HeldScorer(), [25.0], [60_000.0])
+        ))
+        holder.start()
         try:
-            filler = threading.Thread(
-                target=lambda: queue.submit(slow, [25.0], [60_000.0])
-            )
-            filler.start()
-            assert started.wait(5.0)
-            # The collector is busy inside score_batch; the next
-            # submission fills the queue to max_depth, the one after
-            # that sheds.
-            second = threading.Thread(
-                target=lambda: queue.submit(slow, [26.0], [60_000.0])
-            )
-            second.start()
-            deadline = time.monotonic() + 5.0  # wall-clock: ok
-            while queue.depth < 1:
-                assert time.monotonic() < deadline  # wall-clock: ok
-                time.sleep(0.005)
+            assert entered.wait(5.0)
+            # One call is in flight, so the bound of 1 is reached.
+            assert queue.depth == 1
             with pytest.raises(QueueFullError, match="full"):
                 queue.submit(scorer, [27.0], [60_000.0])
-            release.set()
-            filler.join(5.0)
-            second.join(5.0)
         finally:
             release.set()
-            queue.close()
-
-    def test_close_refuses_new_work(self, scorer):
-        queue = BatchQueue()
-        queue.close()
-        assert queue.closed
-        with pytest.raises(DrainingError):
-            queue.submit(scorer, [25.0], [60_000.0])
-        queue.close()  # idempotent
-
-    def test_close_flushes_queued_work(self, segmentation):
-        counting = CountingScorer(compile_scorer(segmentation))
-        queue = BatchQueue(max_delay_seconds=0.5)
-        results = []
-        worker = threading.Thread(
-            target=lambda: results.append(
-                queue.submit(counting, [25.0], [60_000.0])
-            )
-        )
-        worker.start()
-        deadline = time.monotonic() + 5.0  # wall-clock: ok
-        while not counting.calls and queue.depth == 0:
-            assert time.monotonic() < deadline  # wall-clock: ok
-            time.sleep(0.002)
-        # Draining must flush the queued submission, not strand it.
-        queue.close()
-        worker.join(5.0)
-        assert not worker.is_alive()
+            holder.join(5.0)
+        assert not holder.is_alive()
         assert len(results) == 1
+        # The finished call gave its slot back.
+        assert queue.depth == 0
+        assert len(queue.submit(scorer, [27.0], [60_000.0])) == 1
 
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(BatchingError):
-            BatchQueue(max_delay_seconds=-1)
-        with pytest.raises(BatchingError):
-            BatchQueue(max_batch=0)
-        with pytest.raises(BatchingError):
-            BatchQueue(max_depth=0)
-
-    def test_scoring_crash_answers_all_waiters(self, scorer):
+    def test_scoring_crash_releases_its_slot(self, scorer):
         class BrokenScorer:
             segmentation = scorer.segmentation
 
             def score_batch(self, x_values, y_values):
                 raise RuntimeError("table corrupted")
 
-        queue = BatchQueue()
-        try:
-            with pytest.raises(RuntimeError, match="table corrupted"):
-                queue.submit(BrokenScorer(), [25.0], [60_000.0])
-            # The collector survives and keeps serving.
-            assert len(queue.submit(scorer, [25.0], [60_000.0])) == 1
-        finally:
-            queue.close()
+        queue = BatchQueue(max_depth=1)
+        with pytest.raises(RuntimeError, match="table corrupted"):
+            queue.submit(BrokenScorer(), [25.0], [60_000.0])
+        assert queue.depth == 0
+        assert len(queue.submit(scorer, [25.0], [60_000.0])) == 1
+
+    def test_invalid_knobs_rejected(self):
+        with pytest.raises(BatchingError):
+            BatchQueue(max_depth=0)
 
     def test_queue_depth_gauge_is_exported(self, scorer):
         registry = metrics.enable(metrics.MetricsRegistry())
         try:
             queue = BatchQueue()
-            try:
-                snapshot = registry.snapshot()
-                assert snapshot["gauges"]["serve.queue_depth"] == 0
-                queue.submit(scorer, [25.0], [60_000.0])
-            finally:
-                queue.close()
+            snapshot = registry.snapshot()
+            assert snapshot["gauges"]["serve.queue_depth"] == 0
+            queue.submit(scorer, [25.0], [60_000.0])
             assert (
                 registry.snapshot()["gauges"]["serve.queue_depth"] == 0
             )
@@ -267,19 +158,15 @@ class TestServiceWithBatcher:
         )
 
     def test_batched_service_matches_direct(self, model_dir):
-        queue = BatchQueue()
-        try:
-            batched = self.make_service(model_dir, queue)
-            direct = self.make_service(model_dir, None)
-            payload = {"model": "groupA", "x": [25, 70, 5],
-                       "y": [60_000, 50_000, 1]}
-            assert (batched.predict_batch(dict(payload))
-                    == direct.predict_batch(dict(payload)))
-            single = {"model": "groupA", "x": 25, "y": 60_000}
-            assert (batched.predict(dict(single))
-                    == direct.predict(dict(single)))
-        finally:
-            queue.close()
+        bounded = self.make_service(model_dir, BatchQueue(max_depth=1))
+        default = self.make_service(model_dir, None)
+        payload = {"model": "groupA", "x": [25, 70, 5],
+                   "y": [60_000, 50_000, 1]}
+        assert (bounded.predict_batch(dict(payload))
+                == default.predict_batch(dict(payload)))
+        single = {"model": "groupA", "x": 25, "y": 60_000}
+        assert (bounded.predict(dict(single))
+                == default.predict(dict(single)))
 
     def test_shed_maps_to_429_and_counts(self, model_dir):
         class SheddingQueue:
@@ -301,24 +188,8 @@ class TestServiceWithBatcher:
         finally:
             metrics.disable()
 
-    def test_draining_queue_maps_to_503(self, model_dir):
-        queue = BatchQueue()
-        queue.close()
-        service = self.make_service(model_dir, queue)
-        status, body = service.dispatch(
-            "predict", {"model": "groupA", "x": 25, "y": 60_000}
-        )
-        assert status == 503
-        assert "draining" in body["error"]
-
     def test_nan_still_maps_to_400(self, model_dir):
-        queue = BatchQueue()
-        try:
-            service = self.make_service(model_dir, queue)
-            with pytest.raises(ServiceError) as info:
-                service.predict(
-                    {"model": "groupA", "x": float("nan"), "y": 1}
-                )
-            assert info.value.status == 400
-        finally:
-            queue.close()
+        service = self.make_service(model_dir, BatchQueue())
+        with pytest.raises(ServiceError) as info:
+            service.predict({"model": "groupA", "x": float("nan"), "y": 1})
+        assert info.value.status == 400

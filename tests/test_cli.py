@@ -323,49 +323,63 @@ class TestUsageErrors:
 
 
 class TestFailurePaths:
-    def test_fit_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main([
-                "fit", str(tmp_path / "nope.csv"),
-                "--x", "age", "--y", "salary",
-                "--rhs", "group", "--target", "A",
-            ])
+    """Hostile input is one ``arcs <command>: ...`` stderr line, exit 2."""
 
-    def test_fit_unknown_attribute(self, dataset):
-        from repro.data.schema import SchemaError
-        with pytest.raises(SchemaError):
-            main([
-                "fit", str(dataset),
-                "--x", "height", "--y", "salary",
-                "--rhs", "group", "--target", "A",
-            ])
+    @staticmethod
+    def _assert_usage_error(capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"arcs {argv[0]}: ")
+        assert message in err
+        assert err.count("\n") == 1
 
-    def test_fit_unknown_target(self, dataset):
-        with pytest.raises(KeyError):
-            main([
-                "fit", str(dataset),
-                "--x", "age", "--y", "salary",
-                "--rhs", "group", "--target", "no-such-group",
-                "--support-levels", "3", "--confidence-levels", "3",
-            ])
+    def test_fit_missing_file(self, tmp_path, capsys):
+        self._assert_usage_error(capsys, [
+            "fit", str(tmp_path / "nope.csv"),
+            "--x", "age", "--y", "salary",
+            "--rhs", "group", "--target", "A",
+        ], "No such file")
 
-    def test_remine_rejects_non_binarray(self, tmp_path):
+    def test_fit_unknown_attribute(self, dataset, capsys):
+        self._assert_usage_error(capsys, [
+            "fit", str(dataset),
+            "--x", "height", "--y", "salary",
+            "--rhs", "group", "--target", "A",
+        ], "unknown attribute 'height'")
+
+    def test_fit_unknown_target(self, dataset, capsys):
+        self._assert_usage_error(capsys, [
+            "fit", str(dataset),
+            "--x", "age", "--y", "salary",
+            "--rhs", "group", "--target", "no-such-group",
+            "--support-levels", "3", "--confidence-levels", "3",
+        ], "value 'no-such-group' not in the domain of 'group'")
+
+    def test_remine_rejects_non_binarray(self, tmp_path, capsys):
         import numpy as np
-        from repro.persistence import PersistenceError
         bogus = tmp_path / "bogus.npz"
         np.savez(bogus, data=np.zeros(2))
-        with pytest.raises(PersistenceError):
-            main([
-                "remine", str(bogus), "--target", "A",
-                "--min-support", "0.01", "--min-confidence", "0.5",
-            ])
+        self._assert_usage_error(capsys, [
+            "remine", str(bogus), "--target", "A",
+            "--min-support", "0.01", "--min-confidence", "0.5",
+        ], "not a persisted BinArray")
 
-    def test_inspect_rejects_non_segmentation(self, tmp_path):
-        from repro.persistence import PersistenceError
+    @pytest.mark.parametrize("content", [b"", b"garbage\n"])
+    def test_remine_rejects_non_npz_file(self, tmp_path, capsys,
+                                         content):
+        bogus = tmp_path / "bogus.npz"
+        bogus.write_bytes(content)
+        self._assert_usage_error(capsys, [
+            "remine", str(bogus), "--target", "A",
+            "--min-support", "0.01", "--min-confidence", "0.5",
+        ], "not a persisted BinArray")
+
+    def test_inspect_rejects_non_segmentation(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"format": "other"}')
-        with pytest.raises(PersistenceError):
-            main(["inspect", str(bogus)])
+        self._assert_usage_error(capsys, ["inspect", str(bogus)],
+                                 str(bogus))
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -545,41 +559,14 @@ class TestServeFlags:
     def test_serve_defaults_to_threaded_unbatched(self, tmp_path):
         args = self._parse(["serve", str(tmp_path)])
         assert args.workers == 0
-        # None = unset, so an explicit "--batch-window 0" stays
-        # distinguishable from the default.
-        assert args.batch_window is None
-        assert args.max_batch is None
         assert args.queue_depth is None
-
-    def test_explicit_zero_batch_window_is_not_the_default(self,
-                                                           tmp_path):
-        args = self._parse(["serve", str(tmp_path), "--workers", "2",
-                            "--batch-window", "0"])
-        assert args.batch_window == 0.0
-
-    def test_batch_window_resolution_by_mode(self):
-        from repro.cli import _batch_window_seconds
-        from repro.serve.batching import DEFAULT_MAX_DELAY_SECONDS
-
-        # Unset: workers default to coalescing, threaded stays off.
-        assert _batch_window_seconds(None, 0) == 0.0
-        assert _batch_window_seconds(None, 4) == DEFAULT_MAX_DELAY_SECONDS
-        # Explicit 0 opts out of batching in either mode.
-        assert _batch_window_seconds(0.0, 4) == 0.0
-        assert _batch_window_seconds(0.0, 0) == 0.0
-        # Milliseconds convert to seconds.
-        assert _batch_window_seconds(5.0, 0) == 0.005
-        assert _batch_window_seconds(5.0, 4) == 0.005
 
     def test_serve_accepts_worker_and_batching_flags(self, tmp_path):
         args = self._parse([
             "serve", str(tmp_path), "--workers", "4",
-            "--batch-window", "5", "--max-batch", "512",
             "--queue-depth", "64",
         ])
         assert args.workers == 4
-        assert args.batch_window == 5.0
-        assert args.max_batch == 512
         assert args.queue_depth == 64
 
     def test_serve_rejects_negative_workers(self, tmp_path):
@@ -588,8 +575,8 @@ class TestServeFlags:
             main(["serve", str(tmp_path / "models"),
                   "--workers", "-1"])
 
-    def test_serve_rejects_negative_batch_window(self, tmp_path):
+    def test_serve_rejects_queue_depth_below_one(self, tmp_path):
         tmp_path.joinpath("models").mkdir()
-        with pytest.raises(SystemExit, match="--batch-window"):
+        with pytest.raises(SystemExit, match="--queue-depth"):
             main(["serve", str(tmp_path / "models"),
-                  "--batch-window", "-2"])
+                  "--queue-depth", "0"])

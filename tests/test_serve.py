@@ -1037,8 +1037,7 @@ class TestGracefulDrain:
     def test_drain_server_helper_stops_the_loop(self, model_dir):
         from repro.serve import drain_server
 
-        server = create_server(model_dir, port=0, refresh_interval=0,
-                               batch_window_seconds=0.001)
+        server = create_server(model_dir, port=0, refresh_interval=0)
         thread = server.serve_in_background()
         assert _post(server, "/predict",
                      {"model": "groupA", "x": 25, "y": 60_000})[0] == 200
@@ -1046,7 +1045,6 @@ class TestGracefulDrain:
         thread.join(10.0)
         assert not thread.is_alive()
         assert server.service.draining
-        assert server.service.batcher.closed
         server.server_close()
 
     def test_sigterm_drains_run_server_promptly(self, model_dir):
@@ -1064,7 +1062,7 @@ class TestGracefulDrain:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.cli", "serve",
-             str(model_dir), "--port", "0", "--batch-window", "1"],
+             str(model_dir), "--port", "0"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         )
         try:
@@ -1102,8 +1100,7 @@ class TestGracefulDrain:
         from repro.obs import metrics as metrics_module
 
         metrics_module.enable(metrics_module.MetricsRegistry())
-        server = create_server(model_dir, port=0, refresh_interval=0,
-                               batch_window_seconds=0.002)
+        server = create_server(model_dir, port=0, refresh_interval=0)
         server.serve_in_background()
         try:
             statuses = []
@@ -1124,11 +1121,64 @@ class TestGracefulDrain:
             for thread in threads:
                 thread.join()
             assert statuses == [200] * 12
-            # The batching gauge is live on the JSON exposition.
+            # The in-flight gauge is live on the JSON exposition.
             body = _get(server, "/metrics")[1]
             assert "serve.queue_depth" in body["metrics"]["gauges"]
         finally:
-            server.service.batcher.close()
             server.shutdown()
             server.server_close()
             metrics_module.disable()
+
+
+# ----------------------------------------------------------------------
+# Load shedding (threaded path)
+# ----------------------------------------------------------------------
+class TestLoadShedding:
+    def test_threaded_server_sheds_past_queue_depth(self, model_dir):
+        from repro.obs import metrics as metrics_module
+
+        registry = metrics_module.enable(metrics_module.MetricsRegistry())
+        server = create_server(model_dir, port=0, refresh_interval=0,
+                               queue_depth=1)
+        service = server.service
+        entered = threading.Event()
+        release = threading.Event()
+        direct = service.scorer_for
+
+        class HeldScorer:
+            """Holds the first scoring call until released."""
+
+            def __init__(self, scorer):
+                self.scorer = scorer
+                self.segmentation = scorer.segmentation
+
+            def score_batch(self, x_values, y_values):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(30.0), "test never released"
+                return self.scorer.score_batch(x_values, y_values)
+
+        service.scorer_for = lambda model: HeldScorer(direct(model))
+        server.serve_in_background()
+        results = []
+        held = threading.Thread(target=lambda: results.append(
+            _post(server, "/predict",
+                  {"model": "groupA", "x": 25, "y": 60_000})
+        ))
+        held.start()
+        try:
+            assert entered.wait(10.0)
+            status, body = _post(server, "/predict",
+                                 {"model": "groupA", "x": 26, "y": 60_000})
+            assert status == 429
+            assert "full" in body["error"]
+            counters = registry.snapshot()["counters"]
+            assert counters['serve.shed_total{endpoint="predict"}'] == 1
+        finally:
+            release.set()
+            held.join(10.0)
+            server.shutdown()
+            server.server_close()
+            metrics_module.disable()
+        assert results and results[0][0] == 200
+        assert results[0][1]["in_segment"]

@@ -97,7 +97,7 @@ def _wait_until(predicate, timeout=10.0, interval=0.05):
 def pool(model_dir):
     server = MultiProcessServer(
         model_dir, port=0, workers=2, refresh_interval=-1,
-        config=WorkerConfig(batch_window_seconds=0.001),
+        config=WorkerConfig(),
     )
     server.start()
     yield server
@@ -219,8 +219,7 @@ class TestFleetTelemetry:
         events_path = tmp_path / "events.jsonl"
         server = MultiProcessServer(
             model_dir, port=0, workers=2, refresh_interval=-1,
-            config=WorkerConfig(batch_window_seconds=0.001,
-                                telemetry_interval=0.1,
+            config=WorkerConfig(telemetry_interval=0.1,
                                 events_out=str(events_path)),
         )
         server.start()
