@@ -28,13 +28,11 @@ Subcommands mirror the library workflow:
 
 Every command is driven by :func:`main`, which takes an argv list so
 tests can invoke it without a subprocess.  Usage errors exit with
-status 2: argparse's own, and input the pipeline cannot use, reported
-as one ``arcs <command>: <message>`` line on stderr — a missing input
-file, an unknown attribute (:class:`~repro.data.schema.SchemaError`),
-a file that is not an ARCS artefact
-(:class:`~repro.persistence.PersistenceError`), a ``--target`` value
-outside the RHS domain, or values such as NaN in a quantitative column
-(:class:`~repro.data.schema.DataError`).
+status 2: argparse's own, and input or flag values a command cannot
+use, reported as one ``arcs <command>: <message>`` line on stderr — a
+missing file, an unknown attribute, a file that is not an ARCS
+artefact, a malformed CSV row or an unusable value
+(:class:`~repro.data.schema.DataError` and its kin).
 
 Observability flags (``fit``, ``fit-all``, ``remine``, ``describe``,
 ``inspect``) expose the :mod:`repro.obs` layer without code changes:
@@ -56,10 +54,12 @@ Observability flags (``fit``, ``fit-all``, ``remine``, ``describe``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import repro
 from repro import obs
@@ -71,7 +71,7 @@ from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.clusterer import GridClusterer
 from repro.core.optimizer import OptimizerConfig, segmentation_from_outcome
 from repro.core.verifier import Verifier
-from repro.data.io import read_csv, write_csv
+from repro.data.io import infer_specs, read_csv, write_csv
 from repro.data.schema import (
     AttributeSpec,
     DataError,
@@ -79,7 +79,6 @@ from repro.data.schema import (
     categorical,
     quantitative,
 )
-from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
 from repro.data.summary import format_occupancy, profile_bin_array
 from repro.obs.report import RunCapture, RunReport
 from repro.persistence import (
@@ -127,6 +126,16 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+    """The LHS pair, RHS attribute and target value of a fit."""
+    parser.add_argument("--x", required=True, help="first LHS attribute")
+    parser.add_argument("--y", required=True, help="second LHS attribute")
+    parser.add_argument("--rhs", required=True,
+                        help="segmentation (criterion) attribute")
+    parser.add_argument("--target", required=True,
+                        help="criterion value to segment on")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcs",
@@ -156,12 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fit", help="run ARCS on a CSV and print the segmentation"
     )
     fit.add_argument("data", type=Path, help="input CSV")
-    fit.add_argument("--x", required=True, help="first LHS attribute")
-    fit.add_argument("--y", required=True, help="second LHS attribute")
-    fit.add_argument("--rhs", required=True,
-                     help="segmentation (criterion) attribute")
-    fit.add_argument("--target", required=True,
-                     help="criterion value to segment on")
+    _add_rule_flags(fit)
     fit.add_argument("--bins", type=int, default=50,
                      help="bins per LHS attribute (paper default 50)")
     fit.add_argument("--strategy", default="equi-width",
@@ -280,12 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CSV to replay (bounded), or JSONL file to tail with "
              "--follow",
     )
-    watch.add_argument("--x", required=True, help="first LHS attribute")
-    watch.add_argument("--y", required=True, help="second LHS attribute")
-    watch.add_argument("--rhs", required=True,
-                       help="segmentation (criterion) attribute")
-    watch.add_argument("--target", required=True,
-                       help="criterion value to segment on")
+    _add_rule_flags(watch)
     watch.add_argument(
         "--models", type=Path, required=True,
         help="model directory to publish refreshed artefacts into "
@@ -377,30 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _infer_specs(path: Path) -> list[AttributeSpec]:
-    """Infer a schema from a CSV: numeric-looking columns become
-    quantitative, the rest categorical.
-
-    The synthetic generator's schema is recognised by its header and
-    used verbatim (declared domains keep bin layouts canonical).
-    """
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        sample = handle.readline().strip().split(",")
-    synthetic_names = [
-        spec.name for spec in DEMOGRAPHIC_ATTRIBUTES
-    ] + [GROUP_ATTRIBUTE.name]
-    if set(header) == set(synthetic_names):
-        return list(DEMOGRAPHIC_ATTRIBUTES) + [GROUP_ATTRIBUTE]
-    specs = []
-    for name, value in zip(header, sample):
-        try:
-            float(value)
-        except ValueError:
-            specs.append(categorical(name))
-        else:
-            specs.append(quantitative(name))
-    return specs
+def _csv_specs(path: Path, *names: str) -> list[AttributeSpec]:
+    """The specs of the named CSV columns (every column when none are
+    named), so that a command converts only the columns it uses."""
+    specs = {spec.name: spec for spec in infer_specs(path)}
+    for name in names:
+        if name not in specs:
+            raise SchemaError(f"unknown attribute {name!r}; "
+                              f"table has {list(specs)}")
+    return [specs[name] for name in dict.fromkeys(names or specs)]
 
 
 def _target_code(encoding: CategoricalEncoding, target: str) -> int:
@@ -486,8 +470,8 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_fit(args: argparse.Namespace) -> int:
-    specs = _infer_specs(args.data)
-    table = read_csv(args.data, specs)
+    table = read_csv(args.data,
+                     _csv_specs(args.data, args.x, args.y, args.rhs))
     print(f"loaded {len(table):,} tuples from {args.data}")
     _target_code(
         CategoricalEncoding(args.rhs, table.categorical_values(args.rhs)),
@@ -530,8 +514,8 @@ def _command_fit(args: argparse.Namespace) -> int:
 
 
 def _command_fit_all(args: argparse.Namespace) -> int:
-    specs = _infer_specs(args.data)
-    table = read_csv(args.data, specs)
+    table = read_csv(args.data,
+                     _csv_specs(args.data, args.x, args.y, args.rhs))
     print(f"loaded {len(table):,} tuples from {args.data}")
     config = ARCSConfig(
         n_bins_x=args.bins,
@@ -587,8 +571,7 @@ def _command_describe(args: argparse.Namespace) -> int:
     with RunCapture("cli.describe",
                     config={"data": str(args.data)}) as capture:
         with trace("load"):
-            specs = _infer_specs(args.data)
-            table = read_csv(args.data, specs)
+            table = read_csv(args.data, _csv_specs(args.data))
         with trace("profile", tuples=len(table)):
             profile = profile_table(table, top_k=args.top)
     print(format_profile(profile, len(table)))
@@ -635,8 +618,10 @@ def _command_inspect(args: argparse.Namespace) -> int:
             "segmentation": str(args.segmentation),
             "evaluate": str(args.evaluate),
         }) as capture:
-            specs = _infer_specs(args.evaluate)
-            table = read_csv(args.evaluate, specs)
+            table = read_csv(args.evaluate, _csv_specs(
+                args.evaluate, segmentation.x_attribute,
+                segmentation.y_attribute, segmentation.rhs_attribute,
+            ))
             verifier = Verifier(
                 table, segmentation.rhs_attribute,
                 segmentation.rhs_value,
@@ -679,11 +664,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.batching import DEFAULT_MAX_DEPTH
 
     if args.workers < 0:
-        raise SystemExit("arcs serve: --workers must be >= 0")
+        raise DataError("--workers must be >= 0")
     if args.queue_depth is not None and args.queue_depth < 1:
-        raise SystemExit("arcs serve: --queue-depth must be >= 1")
+        raise DataError("--queue-depth must be >= 1")
     if args.fleet_interval is not None and args.fleet_interval < 0:
-        raise SystemExit("arcs serve: --fleet-interval must be >= 0")
+        raise DataError("--fleet-interval must be >= 0")
     # A serving process exists to be watched: collect metrics so
     # /metrics answers, and spans too under --trace.
     obs.enable(
@@ -739,9 +724,7 @@ def _command_fleet(args: argparse.Namespace) -> int:
                     url + "/fleet", timeout=args.timeout) as response:
                 payload = json.load(response)
         except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"arcs fleet: cannot read {url}/fleet: {error}"
-            )
+            raise DataError(f"cannot read {url}/fleet: {error}") from None
     if args.raw_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         _emit_run_report(args, capture.report)
@@ -780,18 +763,15 @@ def _infer_jsonl_specs(path: Path) -> list[AttributeSpec]:
     import json
 
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                break
-        else:
-            raise SystemExit(f"arcs: {path} holds no records")
+        line = next(filter(None, map(str.strip, handle)), None)
+    if line is None:
+        raise DataError(f"{path} holds no records")
     try:
         record = json.loads(line)
     except ValueError as error:
-        raise SystemExit(f"arcs: {path} is not JSONL: {error}")
+        raise DataError(f"{path} is not JSONL: {error}") from None
     if not isinstance(record, dict):
-        raise SystemExit(f"arcs: {path} lines must be JSON objects")
+        raise DataError(f"{path} lines must be JSON objects")
     return [
         quantitative(name)
         if isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -828,22 +808,15 @@ def _command_watch(args: argparse.Namespace) -> int:
                 idle_polls=args.idle_polls or None,
             )
         else:
-            # Spec inference needs a sample row; reject a header-only
-            # CSV here rather than with a schema-mismatch error.
-            with open(args.data) as handle:
-                handle.readline()
-                if not handle.readline().strip():
-                    raise SystemExit(f"arcs: {args.data} holds no tuples")
-            specs = _infer_specs(args.data)
             source = CSVReplaySource(
-                args.data, specs, chunk_rows=args.chunk_rows,
+                args.data, _csv_specs(args.data, args.x, args.y, args.rhs),
+                chunk_rows=args.chunk_rows,
                 pace_seconds=args.pace,
             )
         chunk_iter = source.chunks()
-        try:
-            first = next(chunk_iter)
-        except StopIteration:
-            raise SystemExit(f"arcs: {args.data} holds no tuples")
+        first = next(chunk_iter, None)
+        if first is None:
+            raise DataError(f"{args.data} holds no tuples")
         # The first chunk fixes the binning vocabulary: layouts prefer
         # declared domains, and categorical encodings prefer declared
         # values, so with a declared schema the grid is canonical no
@@ -869,19 +842,14 @@ def _command_watch(args: argparse.Namespace) -> int:
                                min_confidence=args.min_confidence),
             )
         except NotADirectoryError as error:
-            raise SystemExit(f"arcs: {error}")
+            raise DataError(str(error)) from None
         print(f"watching {args.data} ({args.mode} window of "
               f"{args.window:,} tuples) -> {refitter.artefact_path}")
 
-        class _Resumed:
-            """The already-peeked first chunk, then the rest."""
-
-            def chunks(self):
-                yield first
-                yield from chunk_iter
-
+        resumed = SimpleNamespace(  # the peeked first chunk, then the rest
+            chunks=lambda: itertools.chain([first], chunk_iter))
         summary = run_watch(
-            _Resumed(), refitter, max_refits=args.max_refits,
+            resumed, refitter, max_refits=args.max_refits,
             on_refresh=lambda record: print(f"  {record.describe()}"),
         )
     print(f"watched {summary.tuples:,} tuples in {summary.chunks} "
@@ -892,8 +860,6 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_score(args: argparse.Namespace) -> int:
-    import csv
-
     from repro.serve.scorer import compile_scorer
 
     segmentation = load_segmentation(args.model)
@@ -905,8 +871,10 @@ def _command_score(args: argparse.Namespace) -> int:
         "input": str(args.input),
     }) as capture:
         with trace("load"):
-            specs = _infer_specs(args.input)
-            table = read_csv(args.input, specs)
+            table = read_csv(args.input, _csv_specs(
+                args.input, segmentation.x_attribute,
+                segmentation.y_attribute,
+            ))
         x_values = table.column(segmentation.x_attribute)
         y_values = table.column(segmentation.y_attribute)
         with trace("score", tuples=len(table)):
@@ -924,16 +892,12 @@ def _command_score(args: argparse.Namespace) -> int:
           f"{len(table) - inside:,} outside")
 
     if args.output is not None:
-        with open(args.output, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([
-                segmentation.x_attribute, segmentation.y_attribute,
-                "rule", "in_segment",
-            ])
-            for x, y, rule in zip(x_values, y_values, indices):
-                writer.writerow([
-                    x, y, int(rule), bool(rule >= 0),
-                ])
+        write_csv(
+            table.select([segmentation.x_attribute, segmentation.y_attribute])
+            .with_column(categorical("rule"), indices.tolist())
+            .with_column(categorical("in_segment"), (indices >= 0).tolist()),
+            args.output,
+        )
         print(f"predictions written to {args.output}")
     _emit_run_report(args, capture.report)
     return 0
@@ -949,12 +913,8 @@ def _load_occupancy(path: Path, model_key: str | None):
     """
     import json
 
-    from repro.data.summary import ReferenceProfile, reference_profile
-    from repro.persistence import (
-        SEGMENTATION_FORMAT,
-        PersistenceError,
-        segmentation_reference,
-    )
+    from repro.data.summary import reference_profile
+    from repro.persistence import SEGMENTATION_FORMAT, segmentation_reference
 
     if path.suffix == ".npz":
         return reference_profile(load_bin_array(path))
@@ -962,24 +922,21 @@ def _load_occupancy(path: Path, model_key: str | None):
         with open(path) as handle:
             payload = json.load(handle)
     except ValueError as error:
-        raise SystemExit(f"arcs: {path} is not valid JSON: {error}")
+        raise DataError(f"{path} is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
-        raise SystemExit(f"arcs: {path} is not an occupancy snapshot")
+        raise DataError(f"{path} is not an occupancy snapshot")
     if payload.get("format") == SEGMENTATION_FORMAT:
-        try:
-            reference = segmentation_reference(path)
-        except PersistenceError as error:
-            raise SystemExit(f"arcs: {error}")
+        reference = segmentation_reference(path)
         if reference is None:
-            raise SystemExit(
-                f"arcs: {path} has no embedded reference profile; "
+            raise DataError(
+                f"{path} has no embedded reference profile; "
                 "re-save the artefact with a current 'arcs fit'"
             )
         return reference
     if "models" in payload:
         return _occupancy_from_stats(path, payload["models"], model_key)
-    raise SystemExit(
-        f"arcs: {path} is neither a BinArray .npz, a segmentation "
+    raise DataError(
+        f"{path} is neither a BinArray .npz, a segmentation "
         "artefact, nor a /stats capture"
     )
 
@@ -989,33 +946,33 @@ def _occupancy_from_stats(path: Path, entries, model_key: str | None):
     from repro.data.summary import ReferenceProfile
 
     if not isinstance(entries, dict) or not entries:
-        raise SystemExit(f"arcs: {path} captures no models")
+        raise DataError(f"{path} captures no models")
     if model_key is not None:
         entry = entries.get(model_key)
         if entry is None:
-            raise SystemExit(
-                f"arcs: no model {model_key!r} in {path}; captured "
+            raise DataError(
+                f"no model {model_key!r} in {path}; captured "
                 f"{sorted(entries)}"
             )
     elif len(entries) == 1:
         entry = next(iter(entries.values()))
     else:
-        raise SystemExit(
-            f"arcs: {path} captures {len(entries)} models "
+        raise DataError(
+            f"{path} captures {len(entries)} models "
             f"({', '.join(sorted(entries))}); pick one with --model"
         )
     try:
         reference_block = entry["reference"]
         recent = entry["recent"]
         if not reference_block.get("available"):
-            raise SystemExit(
-                f"arcs: the {entry.get('model', '?')} capture in {path} "
+            raise DataError(
+                f"the {entry.get('model', '?')} capture in {path} "
                 "has no reference grid, so its traffic was never binned"
             )
         totals = recent.get("totals")
         if totals is None or recent.get("points", 0) == 0:
-            raise SystemExit(
-                f"arcs: the {entry.get('model', '?')} capture in {path} "
+            raise DataError(
+                f"the {entry.get('model', '?')} capture in {path} "
                 "holds no binned traffic (empty windows)"
             )
         return ReferenceProfile(
@@ -1026,10 +983,12 @@ def _occupancy_from_stats(path: Path, entries, model_key: str | None):
             totals=totals,
             n_total=int(recent["points"]),
         )
+    except DataError:
+        raise
     except (KeyError, TypeError, ValueError) as error:
-        raise SystemExit(
-            f"arcs: {path} is not a usable /stats capture: {error!r}"
-        )
+        raise DataError(
+            f"{path} is not a usable /stats capture: {error!r}"
+        ) from None
 
 
 def _command_drift(args: argparse.Namespace) -> int:
@@ -1043,8 +1002,8 @@ def _command_drift(args: argparse.Namespace) -> int:
         reference = _load_occupancy(args.reference, args.model)
         observed = _load_occupancy(args.observed, args.model)
         if reference.totals.shape != observed.totals.shape:
-            raise SystemExit(
-                f"arcs: grids are incompatible: {args.reference} is "
+            raise DataError(
+                f"grids are incompatible: {args.reference} is "
                 f"{reference.totals.shape[0]}x"
                 f"{reference.totals.shape[1]}, {args.observed} is "
                 f"{observed.totals.shape[0]}x{observed.totals.shape[1]}"
@@ -1066,7 +1025,7 @@ def _command_drift(args: argparse.Namespace) -> int:
                  js_divergence(reference.totals, observed.totals)),
             ]
         except ValueError as error:
-            raise SystemExit(f"arcs: {error}")
+            raise DataError(str(error)) from None
 
     print(f"drift {args.reference} ({reference.n_total:,} tuples) -> "
           f"{args.observed} ({observed.n_total:,} tuples)")

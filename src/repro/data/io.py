@@ -1,21 +1,30 @@
 """CSV and streaming I/O for :class:`~repro.data.schema.Table`.
 
-The paper's scale-up experiment (Figure 15) streams tuples from disk and
-notes that ARCS needs "only a constant amount of main memory regardless of
-the size of the database" because it keeps nothing but the BinArray and the
-bitmap.  :func:`stream_csv` is the matching ingestion path here: it yields
-fixed-size table chunks so the binner can consume arbitrarily large files
-without materialising them.
+The only module that knows the CSV format: a header row, then one tuple
+per row (quoted fields and a byte-order mark accepted).  The ``specs``
+passed in name the columns to load; like the paper's binner (Section
+3.1), which keeps only the two LHS attributes and the RHS, the reader
+never converts the other columns.  Bad input raises ``DataError``.
+
+The paper's scale-up experiment (Figure 15) needs "only a constant
+amount of main memory regardless of the size of the database";
+:func:`stream_csv` is the matching ingestion path, yielding fixed-size
+table chunks so the binner never materialises the file.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.data.schema import AttributeSpec, DataError, Table
+from repro.data.schema import categorical, quantitative
+from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
 
 logger = logging.getLogger(__name__)
 
@@ -26,45 +35,48 @@ def write_csv(table: Table, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
-        columns = [table.column(name) for name in names]
-        for i in range(len(table)):
-            writer.writerow([column[i] for column in columns])
+        writer.writerows(zip(*(table.column(name) for name in names)))
 
 
-def _parse_row(specs: Sequence[AttributeSpec], row: Sequence[str],
-               line_number: int) -> list:
-    if len(row) != len(specs):
-        raise DataError(
-            f"line {line_number}: expected {len(specs)} fields, "
-            f"got {len(row)}"
-        )
-    values = []
-    for spec, text in zip(specs, row):
-        if spec.is_quantitative:
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise DataError(
-                    f"line {line_number}: {text!r} is not a number for "
-                    f"quantitative attribute {spec.name!r}"
-                ) from None
+def infer_specs(path: str | Path) -> list[AttributeSpec]:
+    """A CSV's specs in header order, typed from the first data row; the
+    synthetic generator's header yields its declared specs (declared
+    domains keep bin layouts canonical)."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        sample = next(filter(None, reader), None)
+    if not header:
+        raise DataError(f"{path} is empty: no header row")
+    if sample is None:
+        raise DataError(f"{path} holds no tuples")
+    declared = {spec.name: spec
+                for spec in (*DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE)}
+    if set(header) == set(declared):
+        return [declared[name] for name in header]
+    specs = []
+    # A ragged sample row is reported, with its line, by the load.
+    for name, value in zip(header, sample + [""] * len(header)):
+        try:
+            float(value)
+        except ValueError:
+            specs.append(categorical(name))
         else:
-            values.append(text)
-    return values
+            specs.append(quantitative(name))
+    return specs
 
 
 def read_csv(path: str | Path, specs: Sequence[AttributeSpec]) -> Table:
-    """Read a whole CSV file into a :class:`Table`.
-
-    The header row must name exactly the attributes in ``specs`` (order in
-    the file may differ from ``specs``).
-    """
-    chunks = list(stream_csv(path, specs, chunk_rows=65536))
+    """Read the ``specs`` columns of a CSV file, in header order."""
+    # Small chunks hold few rows as strings; dropping each chunk column
+    # once it is joined keeps the peak near one copy of the table.
+    chunks = list(stream_csv(path, specs, chunk_rows=8192))
     if not chunks:
         return Table.from_columns(specs, {spec.name: [] for spec in specs})
-    table = chunks[0]
-    for chunk in chunks[1:]:
-        table = table.concat(chunk)
+    table = Table(schema=dict(chunks[0].schema), columns={
+        name: np.concatenate([chunk.columns.pop(name) for chunk in chunks])
+        for name in chunks[0].schema
+    })
     logger.debug("read %d tuples from %s (%d chunks)",
                  len(table), path, len(chunks))
     return table
@@ -72,42 +84,70 @@ def read_csv(path: str | Path, specs: Sequence[AttributeSpec]) -> Table:
 
 def stream_csv(path: str | Path, specs: Sequence[AttributeSpec],
                chunk_rows: int = 65536) -> Iterator[Table]:
-    """Yield :class:`Table` chunks of at most ``chunk_rows`` rows from a CSV.
-
-    This is the constant-memory ingestion path: only one chunk is resident
-    at a time, matching the paper's streaming claim for the binner.
-    """
+    """Yield :class:`Table` chunks of at most ``chunk_rows`` rows from a
+    CSV whose header names every column in ``specs`` (and none twice).
+    Only one chunk is resident at a time."""
     if chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive")
-    spec_by_name = {spec.name: spec for spec in specs}
-    with open(path, newline="") as handle:
+    wanted = {spec.name: spec for spec in specs}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             return
-        unknown = [name for name in header if name not in spec_by_name]
-        missing = [name for name in spec_by_name if name not in header]
-        if unknown or missing:
-            raise ValueError(
-                f"CSV header mismatch: unknown={unknown}, missing={missing}"
-            )
-        ordered_specs = [spec_by_name[name] for name in header]
-        buffer: list[list] = []
+        missing = [name for name in wanted if name not in header]
+        if missing or len(set(header)) != len(header):
+            raise DataError(f"CSV header mismatch: missing={missing}, "
+                            f"header={header}")
+        columns = [(index, wanted[name])
+                   for index, name in enumerate(header) if name in wanted]
+        rows, lines = [], []
         for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            buffer.append(_parse_row(ordered_specs, row, line_number))
-            if len(buffer) >= chunk_rows:
-                yield _chunk_to_table(ordered_specs, buffer)
-                buffer = []
-        if buffer:
-            yield _chunk_to_table(ordered_specs, buffer)
+            if len(row) != len(header):
+                if not row:
+                    continue
+                _check_numbers(columns, rows, lines)  # earlier lines first
+                raise DataError(f"line {line_number}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+            rows.append(row)
+            lines.append(line_number)
+            if len(rows) == chunk_rows:
+                yield _chunk(columns, rows, lines)
+                rows, lines = [], []
+        if rows:
+            yield _chunk(columns, rows, lines)
 
 
-def _chunk_to_table(specs: Sequence[AttributeSpec],
-                    rows: list[list]) -> Table:
-    columns = {
-        spec.name: [row[i] for row in rows] for i, spec in enumerate(specs)
-    }
-    return Table.from_columns(specs, columns)
+def _chunk(columns: list, rows: list, lines: list) -> Table:
+    arrays = {}
+    for index, spec in columns:
+        values = map(itemgetter(index), rows)
+        if spec.is_categorical:
+            # One object per distinct value: a compact column, and ``==``
+            # on it takes the identity shortcut.
+            seen: dict[str, str] = {}
+            values, dtype = (seen.setdefault(v, v) for v in values), object
+        else:
+            values, dtype = map(float, values), np.float64
+        try:
+            arrays[spec.name] = np.fromiter(values, dtype, len(rows))
+        except ValueError:
+            _check_numbers(columns, rows, lines)
+            raise
+    return Table(schema={spec.name: spec for _, spec in columns},
+                 columns=arrays)
+
+
+def _check_numbers(columns: list, rows: list, lines: list) -> None:
+    """Raise what a row-wise parser would: the first unparsable
+    quantitative field by line, then by header position."""
+    for row, line_number in zip(rows, lines):
+        for index, spec in columns:
+            if spec.is_quantitative:
+                try:
+                    float(row[index])
+                except ValueError:
+                    raise DataError(
+                        f"line {line_number}: {row[index]!r} is not a "
+                        f"number for quantitative attribute {spec.name!r}"
+                    ) from None

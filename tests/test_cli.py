@@ -385,6 +385,107 @@ class TestFailurePaths:
         with pytest.raises(SystemExit):
             main([])
 
+    # -- hostile CSV input, for every command that reads a CSV ----------
+    SMALL_FIT = ["--x", "age", "--y", "salary", "--rhs", "group",
+                 "--target", "A", "--bins", "10",
+                 "--support-levels", "3", "--confidence-levels", "3"]
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        """A generated CSV, a model fitted on it, a models directory, and
+        hostile variants of the CSV (``<name>.csv``)."""
+        root = tmp_path_factory.mktemp("hostile")
+        data = root / "data.csv"
+        assert main(["generate", str(data), "--tuples", "2000",
+                     "--seed", "3"]) == 0
+        assert main(["fit", str(data), *self.SMALL_FIT,
+                     "--save-segmentation", str(root / "seg.json")]) == 0
+        (root / "models").mkdir()
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        bad = lines[6].split(",")
+        bad[header.index("salary")] = "n/a"
+        variants = {
+            "empty": [],
+            "header-only": lines[:1],
+            "ragged": [*lines[:6], "25,50000", *lines[6:40]],
+            "non-numeric": [*lines[:6], ",".join(bad), *lines[7:40]],
+        }
+        for name, rows in variants.items():
+            (root / f"{name}.csv").write_text("".join(
+                f"{row}\n" for row in rows
+            ))
+        return root
+
+    CSV_COMMANDS = {
+        "fit": lambda root, csv: [
+            "fit", csv, "--x", "age", "--y", "salary", "--rhs", "group",
+            "--target", "A"],
+        "fit-all": lambda root, csv: [
+            "fit-all", csv, "--x", "age", "--y", "salary",
+            "--rhs", "group"],
+        "describe": lambda root, csv: ["describe", csv],
+        "score": lambda root, csv: [
+            "score", str(root / "seg.json"), "--input", csv],
+        "inspect": lambda root, csv: [
+            "inspect", str(root / "seg.json"), "--evaluate", csv],
+        "watch": lambda root, csv: [
+            "watch", csv, "--x", "age", "--y", "salary", "--rhs", "group",
+            "--target", "A", "--models", str(root / "models")],
+    }
+
+    @pytest.mark.parametrize("variant, message", [
+        ("empty", "no header row"),
+        ("header-only", "holds no tuples"),
+        ("ragged", "line 7: expected 10 fields, got 2"),
+        ("non-numeric",
+         "line 7: 'n/a' is not a number for quantitative attribute "
+         "'salary'"),
+    ])
+    @pytest.mark.parametrize("command", list(CSV_COMMANDS))
+    def test_hostile_csv_is_exit_2_with_one_line(self, csv_dir, capsys,
+                                                 command, variant,
+                                                 message):
+        argv = self.CSV_COMMANDS[command](
+            csv_dir, str(csv_dir / f"{variant}.csv")
+        )
+        self._assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("variant", ["quoted", "bom"])
+    def test_quoted_or_bom_header_fits_like_the_plain_file(
+            self, csv_dir, tmp_path, variant):
+        plain = (csv_dir / "data.csv").read_text()
+        header, body = plain.split("\n", 1)
+        path = tmp_path / f"{variant}.csv"
+        if variant == "quoted":
+            quoted = ",".join(f'"{name}"' for name in header.split(","))
+            path.write_text(f"{quoted}\n{body}")
+        else:
+            path.write_text(plain, encoding="utf-8-sig")
+        rules = []
+        for source in (csv_dir / "data.csv", path):
+            saved = tmp_path / f"{source.stem}-seg.json"
+            assert main(["fit", str(source), *self.SMALL_FIT,
+                         "--save-segmentation", str(saved)]) == 0
+            rules.append(json.loads(saved.read_text())["rules"])
+        assert rules[0] == rules[1]
+
+    def test_garbage_in_an_unused_column(self, csv_dir, tmp_path,
+                                         capsys):
+        lines = (csv_dir / "data.csv").read_text().splitlines()
+        column = lines[0].split(",").index("hvalue")
+        row = lines[9].split(",")
+        row[column] = "garbage"
+        lines[9] = ",".join(row)
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path), *self.SMALL_FIT]) == 0
+        self._assert_usage_error(
+            capsys, ["describe", str(path)],
+            "line 10: 'garbage' is not a number for quantitative "
+            "attribute 'hvalue'",
+        )
+
 
 class TestDataErrors:
     """Unusable input values are a one-line usage error, exit 2."""
@@ -503,17 +604,17 @@ class TestDrift:
         assert "joint" in out
 
     def test_model_flag_required_for_multi_model_captures(
-            self, snapshots, tmp_path):
+            self, snapshots, tmp_path, capsys):
         seg_path, _ = snapshots
         capture = tmp_path / "stats.json"
         capture.write_text(json.dumps({
             "models": {"a": {}, "b": {}},
         }))
-        with pytest.raises(SystemExit, match="--model"):
-            main(["drift", str(seg_path), str(capture)])
+        TestFailurePaths._assert_usage_error(
+            capsys, ["drift", str(seg_path), str(capture)], "--model")
 
     def test_rejects_artefact_without_reference(self, snapshots,
-                                                tmp_path):
+                                                tmp_path, capsys):
         from repro.core.rules import ClusteredRule, Interval
         from repro.core.segmentation import Segmentation
         from repro.persistence import save_segmentation
@@ -524,11 +625,12 @@ class TestDrift:
             "age", "salary", Interval(0, 1), Interval(0, 1),
             "group", "A", support=0.1, confidence=0.9,
         )]), bare)
-        with pytest.raises(SystemExit, match="no embedded reference"):
-            main(["drift", str(bare), str(bins_path)])
+        TestFailurePaths._assert_usage_error(
+            capsys, ["drift", str(bare), str(bins_path)],
+            "no embedded reference")
 
     def test_rejects_mismatched_grids(self, snapshots, dataset,
-                                      tmp_path):
+                                      tmp_path, capsys):
         seg_path, _ = snapshots
         other_bins = tmp_path / "other.npz"
         assert main([
@@ -539,15 +641,17 @@ class TestDrift:
             "--support-levels", "5", "--confidence-levels", "4",
             "--save-binarray", str(other_bins),
         ]) == 0
-        with pytest.raises(SystemExit, match="incompatible"):
-            main(["drift", str(seg_path), str(other_bins)])
+        TestFailurePaths._assert_usage_error(
+            capsys, ["drift", str(seg_path), str(other_bins)],
+            "incompatible")
 
-    def test_rejects_non_snapshot_json(self, snapshots, tmp_path):
+    def test_rejects_non_snapshot_json(self, snapshots, tmp_path,
+                                       capsys):
         seg_path, _ = snapshots
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": 1}')
-        with pytest.raises(SystemExit, match="neither"):
-            main(["drift", str(seg_path), str(bogus)])
+        TestFailurePaths._assert_usage_error(
+            capsys, ["drift", str(seg_path), str(bogus)], "neither")
 
 
 class TestServeFlags:
@@ -569,14 +673,14 @@ class TestServeFlags:
         assert args.workers == 4
         assert args.queue_depth == 64
 
-    def test_serve_rejects_negative_workers(self, tmp_path):
+    def test_serve_rejects_negative_workers(self, tmp_path, capsys):
         tmp_path.joinpath("models").mkdir()
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["serve", str(tmp_path / "models"),
-                  "--workers", "-1"])
+        TestFailurePaths._assert_usage_error(capsys, [
+            "serve", str(tmp_path / "models"), "--workers", "-1",
+        ], "--workers")
 
-    def test_serve_rejects_queue_depth_below_one(self, tmp_path):
+    def test_serve_rejects_queue_depth_below_one(self, tmp_path, capsys):
         tmp_path.joinpath("models").mkdir()
-        with pytest.raises(SystemExit, match="--queue-depth"):
-            main(["serve", str(tmp_path / "models"),
-                  "--queue-depth", "0"])
+        TestFailurePaths._assert_usage_error(capsys, [
+            "serve", str(tmp_path / "models"), "--queue-depth", "0",
+        ], "--queue-depth")

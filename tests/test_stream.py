@@ -628,23 +628,30 @@ class TestWatchCommand:
         assert code == 0
         assert (models / "watch_A.json").exists()
 
-    def test_missing_models_dir_is_a_clean_error(self, csv_path,
-                                                 tmp_path):
-        with pytest.raises(SystemExit, match="does not exist"):
-            main([
-                "watch", str(csv_path), "--x", "age", "--y", "salary",
-                "--rhs", "group", "--target", "A",
-                "--models", str(tmp_path / "absent"),
-            ])
+    @staticmethod
+    def _assert_usage_error(capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("arcs watch: ")
+        assert message in err
+        assert err.count("\n") == 1
 
-    def test_empty_input_is_a_clean_error(self, tmp_path):
+    def test_missing_models_dir_is_a_clean_error(self, csv_path,
+                                                 tmp_path, capsys):
+        self._assert_usage_error(capsys, [
+            "watch", str(csv_path), "--x", "age", "--y", "salary",
+            "--rhs", "group", "--target", "A",
+            "--models", str(tmp_path / "absent"),
+        ], "does not exist")
+
+    def test_empty_input_is_a_clean_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("age,salary,group\n")
         models = tmp_path / "models"
         models.mkdir()
-        with pytest.raises(SystemExit, match="holds no tuples"):
-            main([
-                "watch", str(empty), "--x", "age", "--y", "salary",
-                "--rhs", "group", "--target", "A",
-                "--models", str(models),
-            ])
+        self._assert_usage_error(capsys, [
+            "watch", str(empty), "--x", "age", "--y", "salary",
+            "--rhs", "group", "--target", "A",
+            "--models", str(models),
+        ], "holds no tuples")
